@@ -31,6 +31,7 @@ from .spectral import (
     generator_splitting,
     generator_splitting_labeled,
     multinomial_measure,
+    split_moves,
     transient_distribution,
 )
 
@@ -47,7 +48,6 @@ __all__ = [
     "annihilate",
     "create",
     "symmetrize",
-    "particle_removal_sum",
     "particle_removal_matrix",
     "eigenfunction_observable",
     "multicolored_intertwining_residual",
@@ -120,30 +120,19 @@ def multinomial_average(f: np.ndarray, eta: np.ndarray, k: int,
 def edge_redistribution_average(f: np.ndarray, xi, edge, weights: SiteWeights,
                                 space: UnlabeledSpace) -> float:
     """Average of f over the binomial re-split of the particles on one edge."""
-    x, y = int(edge[0]), int(edge[1])
-    pi = weights.pi
-    p = pi[x] / (pi[x] + pi[y])
-    xi = np.asarray(xi, dtype=np.int64)
-    m = int(xi[x] + xi[y])
-    f = np.asarray(f, float)
-    if m == 0:
-        return float(f[space.index_of(xi)])
-    target = xi.copy()
-    total = 0.0
-    for j in range(m + 1):
-        target[x] = j
-        target[y] = m - j
-        total += math.comb(m, j) * p ** j * (1 - p) ** (m - j) * f[space.index_of(target)]
-    return float(total)
+    return float(_edge_kernel_apply(f, edge, weights, space)[space.index_of(xi)])
 
 
 def _edge_kernel_apply(f: np.ndarray, edge, weights: SiteWeights,
                        space: UnlabeledSpace) -> np.ndarray:
     """Vector of edge redistribution averages over every configuration."""
-    return np.array([
-        edge_redistribution_average(f, space.config(i), edge, weights, space)
-        for i in range(space.size)
-    ])
+    x, y = int(edge[0]), int(edge[1])
+    pi = weights.pi
+    src, dst, prob, stay = split_moves(space, x, y, pi[x] / (pi[x] + pi[y]))
+    f = np.asarray(f, float)
+    out = stay * f
+    np.add.at(out, src, prob * f[dst])
+    return out
 
 
 def intertwining_residual(graph: WeightedGraph, weights: SiteWeights, k: int,
@@ -233,40 +222,21 @@ def orthogonal_duality_tensor(eta: np.ndarray, weights: SiteWeights, k: int) -> 
     return TensorFunction(n, k, np.asarray(t).reshape(-1))
 
 
-def particle_removal_sum(f: np.ndarray, space_k: UnlabeledSpace,
-                         space_km1: UnlabeledSpace) -> np.ndarray:
-    """Occupancy-weighted sum of f over single-particle removals.
+def particle_removal_matrix(space_k: UnlabeledSpace,
+                            space_km1: UnlabeledSpace) -> np.ndarray:
+    """Occupancy-weighted sum over single-particle removals as a dense matrix.
 
-    (Jf)(xi) = sum_x xi(x) f(xi - e_x), mapping observables on k-1 particles
-    to observables on k particles.
+    (J f)(xi) = sum_x xi(x) f(xi - e_x), mapping observables on k-1 particles
+    to observables on k particles (columns index the k-1 space).
     """
     if space_k.k != space_km1.k + 1 or space_k.n != space_km1.n:
         raise ValueError("spaces must differ by exactly one particle")
-    f = np.asarray(f, float)
-    out = np.zeros(space_k.size)
-    for i in range(space_k.size):
-        xi = space_k.config(i)
-        acc = 0.0
-        for x in range(space_k.n):
-            if xi[x] > 0:
-                tgt = xi.copy()
-                tgt[x] -= 1
-                acc += xi[x] * f[space_km1.index_of(tgt)]
-        out[i] = acc
-    return out
-
-
-def particle_removal_matrix(space_k: UnlabeledSpace,
-                            space_km1: UnlabeledSpace) -> np.ndarray:
-    """Dense matrix of :func:`particle_removal_sum` (columns index k-1 space)."""
     J = np.zeros((space_k.size, space_km1.size))
-    for i in range(space_k.size):
-        xi = space_k.config(i)
-        for x in range(space_k.n):
-            if xi[x] > 0:
-                tgt = xi.copy()
-                tgt[x] -= 1
-                J[i, space_km1.index_of(tgt)] += xi[x]
+    for x in range(space_k.n):
+        rows = np.nonzero(space_k.configs[:, x] > 0)[0]
+        removed = space_k.configs[rows].copy()
+        removed[:, x] -= 1
+        J[rows, space_km1.rank(removed)] = space_k.configs[rows, x]
     return J
 
 

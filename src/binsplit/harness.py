@@ -90,14 +90,51 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
 
+_NUMBER_KEYS = {"replicas": int, "seed": int, "threads": int, "tol": float, "p_norm": float}
+_NUMBER_LIST_KEYS = {"k": int, "window_C": float}
+
+
+def _number(key: str, value, kind):
+    """``value`` as ``kind``: a float key takes any non-bool number or numeric
+    string (YAML reads ``1e-09`` as a string), an int key takes an int only.
+    Anything else raises a ValueError naming ``key``."""
+    if not isinstance(value, bool):
+        if kind is int and isinstance(value, int):
+            return value
+        if kind is float:
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                pass
+    what = "an integer" if kind is int else "a number"
+    raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+
+
 def load_config(path) -> ExperimentConfig:
+    """Read a YAML experiment config.
+
+    Unknown top-level keys raise a ValueError naming them; free-form entries
+    go under ``extra``.  Numeric fields are coerced (``tol: 1e-09`` is a
+    float) and a value that is not a number raises, naming its key.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in raw.items() if k in known and k != "extra"}
-    extra = {k: v for k, v in raw.items() if k not in known}
-    extra.update(raw.get("extra") or {})
-    return ExperimentConfig(**kwargs, extra=extra)
+    known = set(ExperimentConfig.__dataclass_fields__)
+    unknown = sorted(str(key) for key in raw if key not in known)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {path}; "
+                         f"put free-form entries under 'extra'")
+    kwargs = dict(raw)
+    kwargs["extra"] = dict(raw.get("extra") or {})
+    for key, kind in _NUMBER_KEYS.items():
+        if key in kwargs:
+            kwargs[key] = _number(key, kwargs[key], kind)
+    for key, kind in _NUMBER_LIST_KEYS.items():
+        if key in kwargs:
+            if not isinstance(kwargs[key], list):
+                raise ValueError(f"config key {key!r} must be a list, got {kwargs[key]!r}")
+            kwargs[key] = [_number(key, v, kind) for v in kwargs[key]]
+    return ExperimentConfig(**kwargs)
 
 
 def resolve_graph(spec: dict) -> WeightedGraph:
@@ -364,15 +401,13 @@ def run_cutoff_bin(config: ExperimentConfig):
         exact = size <= EXACT_MODE_STATE_CAP
         if exact:
             space = spectral.enumerate_configs(graph.n, k)
-            worst = np.zeros(len(times))
-            for v in _worst_dirac_starts(graph, config.seed):
-                xi0 = np.zeros(graph.n, dtype=np.int64)
-                xi0[v] = k
-                prof = distances.tv_profile_exact(graph, weights, k, xi0, times,
-                                                  config.tol, space)
-                worst = np.maximum(worst, [d for _, d in prof])
-            for t, d in zip(times, worst):
-                records.append(ProfileRecord("cutoff", k, t, t / t_rel, float(d),
+            starts = _worst_dirac_starts(graph, config.seed)
+            piles = np.zeros((len(starts), graph.n), dtype=np.int64)
+            piles[np.arange(len(starts)), starts] = k
+            prof = distances.tv_profile_exact(graph, weights, k, piles, times,
+                                              config.tol, space)
+            for t, (_, d) in zip(times, prof):
+                records.append(ProfileRecord("cutoff", k, t, t / t_rel, float(d.max()),
                                              0.0, "exact_tv"))
         else:
             for t in times:

@@ -29,6 +29,7 @@ from .graphs import SiteWeights, WeightedGraph
 DEFAULT_STATE_CAP = 2_000_000
 DEFAULT_TRANSIENT_CAP = 200_000
 DENSE_EIG_CUTOFF = 4096
+EIGSH_START_SEED = 0
 
 __all__ = [
     "StateSpaceCapError",
@@ -38,6 +39,7 @@ __all__ = [
     "multinomial_measure",
     "generator_single_particle",
     "generator_splitting",
+    "split_moves",
     "generator_splitting_labeled",
     "generator_independent_pair",
     "labeled_states",
@@ -64,7 +66,11 @@ class UnlabeledSpace:
 
     Configurations are ordered heaviest-first lexicographically (the first
     coordinate runs k, k-1, ..., 0, recursively), so index 0 piles every
-    particle on vertex 0.
+    particle on vertex 0.  The index of a configuration is its rank in the
+    combinatorial number system: with left_i = k - (xi_0 + ... + xi_i) the
+    particles placed after site i, rank(xi) = sum_{i < n-1} C(left_i + n-i-2, n-i-1),
+    each term counting the configurations that agree with xi before site i
+    and put more particles on it.
     """
 
     n: int
@@ -76,11 +82,24 @@ class UnlabeledSpace:
         return self.configs.shape[0]
 
     def __post_init__(self):
-        index = {tuple(int(v) for v in row): i for i, row in enumerate(self.configs)}
-        object.__setattr__(self, "_index", index)
+        # _terms[i, left] = C(left + n - i - 2, n - i - 1)
+        terms = np.array([[math.comb(left + self.n - i - 2, self.n - i - 1)
+                           for left in range(self.k + 1)]
+                          for i in range(self.n - 1)], dtype=np.int64)
+        object.__setattr__(self, "_terms", terms.reshape(self.n - 1, self.k + 1))
+
+    def rank(self, configs) -> np.ndarray:
+        """Indices of the rows of an (m, n) array of configurations."""
+        xi = np.asarray(configs, dtype=np.int64)
+        if xi.ndim != 2 or xi.shape[1] != self.n:
+            raise ValueError(f"need configurations with {self.n} entries, got shape {xi.shape}")
+        if xi.size and (xi.min() < 0 or np.any(xi.sum(axis=1) != self.k)):
+            raise ValueError(f"not a configuration of {self.k} particles on {self.n} sites")
+        left = self.k - np.cumsum(xi[:, :-1], axis=1)
+        return self._terms[np.arange(self.n - 1), left].sum(axis=1)
 
     def index_of(self, config) -> int:
-        return self._index[tuple(int(v) for v in config)]
+        return int(self.rank(np.asarray(config).reshape(1, -1))[0])
 
     def config(self, i: int) -> np.ndarray:
         return self.configs[i]
@@ -170,6 +189,45 @@ def generator_single_particle(graph: WeightedGraph, weights: SiteWeights) -> sp.
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def split_moves(space: UnlabeledSpace, x: int, y: int, p: float):
+    """Every jump of one edge event at xy with split probability p.
+
+    The m = xi(x)+xi(y) pooled particles re-split with j on x with probability
+    Binomial(m, p)(j).  Returns (src, dst, prob, stay): the source and target
+    indices and the probability of each jump that changes the configuration,
+    and per configuration the probability of reproducing the current split.
+    Moving particles between x and y changes the ``left`` counts of the sites
+    from min(x, y) to max(x, y) - 1 only, so the target rank is the source
+    rank plus the change of those terms.
+    """
+    if x == y:
+        raise ValueError("an edge needs two distinct endpoints")
+    xi = space.configs
+    k = space.k
+    lo, hi = min(x, y), max(x, y)
+    cur = xi[:, x]
+    m = cur + xi[:, y]
+    pmf = np.zeros((k + 1, k + 1))
+    for mm in range(k + 1):
+        pmf[mm, :mm + 1] = _binom_pmf_table(mm, p)
+    stay = pmf[m, cur]
+    sites = np.arange(hi - lo)
+    terms = space._terms[lo:hi]
+    left = k - np.cumsum(xi[:, :hi], axis=1)[:, lo:]
+    src, dst, prob = [], [], []
+    for j in range(k + 1):
+        rows = np.nonzero((m >= j) & (cur != j))[0]
+        # particles leaving x; the left counts between the endpoints grow by
+        # that many when y lies right of x and shrink otherwise
+        moved = (cur[rows] - j)[:, None] * (1 if x < y else -1)
+        before = left[rows]
+        shift = (terms[sites, before + moved] - terms[sites, before]).sum(axis=1)
+        src.append(rows)
+        dst.append(rows + shift)
+        prob.append(pmf[m[rows], j])
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(prob), stay
+
+
 def generator_splitting(graph: WeightedGraph, weights: SiteWeights, k: int,
                         space: UnlabeledSpace | None = None,
                         cap: int = DEFAULT_STATE_CAP) -> sp.csr_matrix:
@@ -185,38 +243,19 @@ def generator_splitting(graph: WeightedGraph, weights: SiteWeights, k: int,
         raise ValueError("space does not match (n, k)")
     pi = weights.pi
     size = space.size
-    configs = space.configs
-    index = space._index
     rows, cols, vals = [], [], []
     diag = np.zeros(size)
-    pmf_cache = {}
     for (x, y, c) in graph.edges:
-        p = _edge_split_prob(pi, x, y)
-        for i in range(size):
-            xi = configs[i]
-            m = int(xi[x] + xi[y])
-            key = (m, p)
-            pmf = pmf_cache.get(key)
-            if pmf is None:
-                pmf = _binom_pmf_table(m, p)
-                pmf_cache[key] = pmf
-            cur = int(xi[x])
-            diag[i] -= c * (1.0 - pmf[cur])
-            if m == 0:
-                continue
-            target = xi.copy()
-            for j in range(m + 1):
-                if j == cur:
-                    continue
-                target[x] = j
-                target[y] = m - j
-                rows.append(i)
-                cols.append(index[tuple(int(v) for v in target)])
-                vals.append(c * pmf[j])
-    rows += list(range(size))
-    cols += list(range(size))
-    vals += list(diag)
-    Q = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+        src, dst, prob, stay = split_moves(space, x, y, _edge_split_prob(pi, x, y))
+        diag -= c * (1.0 - stay)
+        rows.append(src)
+        cols.append(dst)
+        vals.append(c * prob)
+    rows.append(np.arange(size))
+    cols.append(np.arange(size))
+    vals.append(diag)
+    Q = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(size, size))
     Q.sum_duplicates()
     return Q
 
@@ -361,7 +400,10 @@ def spectral_gap(Q, mu: np.ndarray, dense_cutoff: int = DENSE_EIG_CUTOFF,
         # shift slightly below the spectrum: 0 is always an eigenvalue, so a
         # factorization exactly at 0 would hit a singular matrix
         sigma = -1e-6 * max(1.0, scale)
-        evals, evecs = eigsh(A, k=kk, sigma=sigma, which="LM")
+        # a fixed start vector keeps the result bit-reproducible; it must not
+        # be sqrt_mu, the null vector of A
+        v0 = np.random.default_rng(EIGSH_START_SEED).standard_normal(dim)
+        evals, evecs = eigsh(A, k=kk, sigma=sigma, which="LM", v0=v0)
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
         full = False
@@ -389,56 +431,60 @@ def _uniformization_terms(rate_t: float, tol: float):
     return poisson.pmf(np.arange(m + 1), rate_t)
 
 
+class _Uniformization:
+    """exp(tQ) as the Poisson(L t) mixture of powers of P = I + Q/L.
+
+    The rate L, P (observable direction) and P^T (measure direction) are
+    built at most once per Q, however many times and starts are evolved.
+    ``evolve`` takes a vector or a block of columns; each column comes out
+    as it would alone.
+    """
+
+    def __init__(self, Q):
+        self.Q = sp.csr_matrix(Q)
+        self.rate = float(-self.Q.diagonal().min())
+        self._P = self._PT = None
+
+    def evolve(self, v: np.ndarray, t: float, tol: float, measure: bool) -> np.ndarray:
+        if t == 0.0 or self.rate <= 0.0:
+            return v.copy()
+        if self._P is None:
+            self._P = (sp.identity(self.Q.shape[0], format="csr") + self.Q / self.rate).tocsr()
+        if measure and self._PT is None:
+            self._PT = self._P.T.tocsr()
+        step = self._PT if measure else self._P
+        w = _uniformization_terms(self.rate * t, tol)
+        acc = w[0] * v
+        for weight in w[1:]:
+            v = step @ v
+            acc += weight * v
+        return acc
+
+
 def transient_distribution(Q, init: np.ndarray, t: float, tol: float = 1e-9,
                            cap: int = DEFAULT_TRANSIENT_CAP) -> np.ndarray:
     """Distribution of the chain at time t started from ``init``.
 
     Uniformized evaluation with Poisson tail below ``tol``; the output is
-    entrywise nonnegative and sums to 1 within 2 tol.
+    entrywise nonnegative and sums to 1 within 2 tol.  ``init`` may be a
+    block with one initial law per column.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
     if not (0 < tol <= 1e-6):
         raise ValueError("tol must lie in (0, 1e-6]")
     init = np.asarray(init, dtype=float)
-    if init.size > cap:
-        raise StateSpaceCapError(f"transient vector has {init.size} entries, cap is {cap}")
-    Qc = sp.csr_matrix(Q)
-    if t == 0.0:
-        return init.copy()
-    rate = float(-Qc.diagonal().min())
-    if rate <= 0.0:
-        return init.copy()
-    P = (sp.identity(Qc.shape[0], format="csr") + Qc / rate).tocsr()
-    PT = P.T.tocsr()
-    w = _uniformization_terms(rate * t, tol)
-    v = init.copy()
-    acc = w[0] * v
-    for m in range(1, w.size):
-        v = PT @ v
-        acc += w[m] * v
-    return acc
+    if init.shape[0] > cap:
+        raise StateSpaceCapError(f"transient vector has {init.shape[0]} entries, cap is {cap}")
+    return _Uniformization(Q).evolve(init, t, tol, measure=True)
 
 
 def evolve_observable(Q, f: np.ndarray, t: float, tol: float = 1e-9) -> np.ndarray:
-    """Action of the semigroup on an observable: exp(tQ) f by uniformization."""
+    """Action of the semigroup on an observable: exp(tQ) f by uniformization.
+    ``f`` may be a block with one observable per column."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    f = np.asarray(f, dtype=float)
-    Qc = sp.csr_matrix(Q)
-    if t == 0.0:
-        return f.copy()
-    rate = float(-Qc.diagonal().min())
-    if rate <= 0.0:
-        return f.copy()
-    P = (sp.identity(Qc.shape[0], format="csr") + Qc / rate).tocsr()
-    w = _uniformization_terms(rate * t, tol)
-    v = f.copy()
-    acc = w[0] * v
-    for m in range(1, w.size):
-        v = P @ v
-        acc += w[m] * v
-    return acc
+    return _Uniformization(Q).evolve(np.asarray(f, dtype=float), t, tol, measure=False)
 
 
 def dirichlet_form(Q, mu: np.ndarray, psi: np.ndarray) -> float:

@@ -1,0 +1,163 @@
+"""The vectorized exact engine against its per-state reference: configuration
+ranking, generator assembly, and block evolution of several starts."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from binsplit.distances import tv_profile_exact
+from binsplit.duality import edge_redistribution_average
+from binsplit.graphs import cycle_graph, path_graph, site_weights, torus_graph
+from binsplit.spectral import (_binom_pmf_table, _edge_split_prob, enumerate_configs,
+                               evolve_observable, generator_splitting, split_moves,
+                               transient_distribution)
+
+
+def generator_splitting_loop(graph, weights, k, space):
+    """Per-state reference assembly: a Python loop over edges, states and
+    splits, with targets looked up in a dict of configuration tuples."""
+    pi = weights.pi
+    size = space.size
+    configs = space.configs
+    index = {tuple(int(v) for v in row): i for i, row in enumerate(configs)}
+    rows, cols, vals = [], [], []
+    diag = np.zeros(size)
+    pmf_cache = {}
+    for (x, y, c) in graph.edges:
+        p = _edge_split_prob(pi, x, y)
+        for i in range(size):
+            xi = configs[i]
+            m = int(xi[x] + xi[y])
+            key = (m, p)
+            pmf = pmf_cache.get(key)
+            if pmf is None:
+                pmf = _binom_pmf_table(m, p)
+                pmf_cache[key] = pmf
+            cur = int(xi[x])
+            diag[i] -= c * (1.0 - pmf[cur])
+            if m == 0:
+                continue
+            target = xi.copy()
+            for j in range(m + 1):
+                if j == cur:
+                    continue
+                target[x] = j
+                target[y] = m - j
+                rows.append(i)
+                cols.append(index[tuple(int(v) for v in target)])
+                vals.append(c * pmf[j])
+    rows += list(range(size))
+    cols += list(range(size))
+    vals += list(diag)
+    Q = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    Q.sum_duplicates()
+    return Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(0, 7))
+def test_rank_roundtrip(n, k):
+    space = enumerate_configs(n, k)
+    assert np.array_equal(space.rank(space.configs), np.arange(space.size))
+
+
+def test_index_of_rejects_non_configurations():
+    space = enumerate_configs(3, 2)
+    assert space.index_of((0, 1, 1)) == 4
+    for bad in ((1, 1, 1), (3, -1, 0), (2, 0)):
+        with pytest.raises(ValueError):
+            space.index_of(bad)
+
+
+@pytest.mark.parametrize("graph, k", [
+    (path_graph(4), 5),
+    (cycle_graph(5), 6),
+    (torus_graph([3, 3]), 3),
+    (torus_graph([2, 3]), 4),
+])
+def test_vectorized_assembly_matches_loop(graph, k):
+    rng = np.random.default_rng(graph.n * 100 + k)
+    weights = site_weights(rng.uniform(0.3, 2.0, graph.n))
+    space = enumerate_configs(graph.n, k)
+    Q = generator_splitting(graph, weights, k, space)
+    Q_ref = generator_splitting_loop(graph, weights, k, space)
+    assert (Q - Q_ref).nnz == 0
+    for a, b in ((Q.data, Q_ref.data), (Q.indices, Q_ref.indices), (Q.indptr, Q_ref.indptr)):
+        assert np.array_equal(a, b)
+
+
+def test_split_moves_either_orientation():
+    space = enumerate_configs(4, 4)
+    p = 0.3
+
+    def kernel(x, y, q):
+        src, dst, prob, stay = split_moves(space, x, y, q)
+        return (sp.csr_matrix((prob, (src, dst)), shape=(space.size,) * 2)
+                + sp.diags(stay)).toarray()
+
+    K = kernel(0, 2, p)
+    assert np.allclose(K, kernel(2, 0, 1.0 - p), atol=1e-15)
+    assert np.allclose(K.sum(axis=1), 1.0, atol=1e-14)
+
+
+def test_block_of_starts_equals_each_alone():
+    graph = cycle_graph(4)
+    weights = site_weights([0.1, 0.2, 0.3, 0.4])
+    k = 5
+    space = enumerate_configs(4, k)
+    starts = np.array([[5, 0, 0, 0], [0, 0, 0, 5], [2, 1, 1, 1]])
+    times = [0.0, 0.3, 0.9, 2.5]
+    block = tv_profile_exact(graph, weights, k, starts, times, 1e-10, space)
+    for s, xi0 in enumerate(starts):
+        alone = tv_profile_exact(graph, weights, k, xi0, times, 1e-10, space)
+        assert [d[s] for _, d in block] == [d for _, d in alone]
+    Q = generator_splitting(graph, weights, k, space)
+    rng = np.random.default_rng(1)
+    init = rng.dirichlet(np.ones(space.size), size=3).T
+    laws = transient_distribution(Q, init, 0.7, 1e-12)
+    obs = evolve_observable(Q, init, 0.7, 1e-12)
+    for s in range(3):
+        column = np.ascontiguousarray(init[:, s])
+        assert np.array_equal(laws[:, s], transient_distribution(Q, column, 0.7, 1e-12))
+        assert np.array_equal(obs[:, s], evolve_observable(Q, column, 0.7, 1e-12))
+
+
+def test_edge_redistribution_matches_binomial_sum():
+    space = enumerate_configs(4, 5)
+    weights = site_weights([0.1, 0.4, 0.2, 0.3])
+    pi = weights.pi
+    f = np.random.default_rng(7).normal(size=space.size)
+    for x, y in ((0, 2), (3, 1)):
+        p = pi[x] / (pi[x] + pi[y])
+        for xi in space.configs:
+            m = int(xi[x] + xi[y])
+            ref = 0.0
+            for j in range(m + 1):
+                target = xi.copy()
+                target[x], target[y] = j, m - j
+                ref += math.comb(m, j) * p ** j * (1 - p) ** (m - j) * f[space.index_of(target)]
+            got = edge_redistribution_average(f, xi, (x, y), weights, space)
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_tv_profile_exact_rejects_bad_arguments():
+    graph = cycle_graph(3)
+    weights = site_weights([0.2, 0.3, 0.5])
+    space = enumerate_configs(3, 2)
+    xi0 = np.array([2, 0, 0])
+    times = [0.1, 0.2, 0.3, 0.4, 0.5]
+    for bad_tol in (1e-5, 0.0, -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            tv_profile_exact(graph, weights, 2, xi0, times, bad_tol, space)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tv_profile_exact(graph, weights, 2, xi0, [-0.1, 0.5], 1e-9, space)
+    with pytest.raises(ValueError, match="sorted"):
+        tv_profile_exact(graph, weights, 2, xi0, [0.5, 0.1], 1e-9, space)
+    for bad_start in (np.array([2, 0, 0, 0, 0, 0]), np.array([2, 0]),
+                      np.zeros((1, 2, 3), dtype=int)):
+        with pytest.raises(ValueError):
+            tv_profile_exact(graph, weights, 2, bad_start, times, 1e-9, space)

@@ -300,6 +300,31 @@ def test_config_load_and_cli(tmp_path, capsys):
     assert code2 == 0
 
 
+def test_load_config_rejects_unknown_keys(tmp_path):
+    cfg_path = tmp_path / "typo.yaml"
+    cfg_path.write_text("graph: {kind: path, size: 4}\nreplcas: 1000\n")
+    with pytest.raises(ValueError, match="replcas"):
+        load_config(cfg_path)
+    cfg_path.write_text("graph: {kind: path, size: 4}\nextra: {replcas: 1000}\n")
+    assert load_config(cfg_path).extra == {"replcas": 1000}
+
+
+def test_load_config_coerces_numbers(tmp_path):
+    cfg_path = tmp_path / "num.yaml"
+    cfg_path.write_text("tol: 1e-09\nreplicas: 1000\nk: [2, 3]\nwindow_C: [1, 2.5]\n")
+    cfg = load_config(cfg_path)
+    assert cfg.tol == 1e-9 and isinstance(cfg.tol, float)
+    assert cfg.replicas == 1000 and isinstance(cfg.replicas, int)
+    assert cfg.k == [2, 3] and cfg.window_C == [1.0, 2.5]
+    for text, key in (("replicas: many\n", "replicas"), ("tol: [1]\n", "tol"),
+                      ("seed: 2.5\n", "seed"), ("replicas: 1e3\n", "replicas"),
+                      ("k: [2, two]\n", "k"),
+                      ("k: 4\n", "k")):
+        cfg_path.write_text(text)
+        with pytest.raises(ValueError, match=key):
+            load_config(cfg_path)
+
+
 def test_cli_cutoff_and_nash(tmp_path, capsys):
     cfg_path = tmp_path / "cut.yaml"
     cfg_path.write_text(

@@ -254,6 +254,19 @@ def test_sparse_eigsh_path_matches_dense():
     assert sparse_spec.gap == pytest.approx(dense.gap, rel=1e-9)
 
 
+def test_sparse_eigsh_path_reproducible():
+    # the Lanczos start vector is fixed, so repeated solves agree bit for bit
+    g = cycle_graph(6)
+    w = uniform_weights(6)
+    space = enumerate_configs(6, 4)
+    Q = generator_splitting(g, w, 4, space)
+    mu = multinomial_measure(w, 4, space)
+    first, second = (spectral_gap(Q, mu, dense_cutoff=10) for _ in range(2))
+    assert first.gap == second.gap
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.psi, second.psi)
+
+
 # ---------------------------------------------------------------------------
 # transients (uniformization)
 
