@@ -10,8 +10,8 @@ from .spectral import (Spectrum, UnlabeledSpace, enumerate_configs,
                        generator_splitting_labeled, multinomial_measure,
                        spectral_gap, transient_distribution)
 from .averaging import edge_update, l2_drop, transport_norm
-from .simulate import (SimOptions, make_rng, sample_binomial,
-                       simulate_averaging, simulate_multicolored,
+from .simulate import (SimOptions, make_rng, simulate_averaging,
+                       simulate_averaging_batch, simulate_multicolored,
                        simulate_splitting, simulate_splitting_labeled)
 from .distances import (heat_kernel, nash_fit, tv_distance, tv_profile_exact,
                         wasserstein_estimate, wilson_report)

@@ -4,7 +4,7 @@ A state is a probability vector eta over the vertices.  An edge event at xy
 pools the mass eta(x)+eta(y) and re-splits it proportionally to the
 site-weights, leaving every other coordinate untouched; the site-weight
 vector itself is the unique absorbing state.  All operations here are pure;
-states are plain numpy arrays, safe to copy across threads.
+states are plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -76,11 +76,17 @@ def l2_drop(eta: np.ndarray, edge, weights: SiteWeights) -> float:
     return float(-(pi[x] * pi[y] / (pi[x] + pi[y])) * diff * diff)
 
 
-def transport_norm(eta: np.ndarray, weights: SiteWeights, p: float) -> float:
-    """||eta/pi - 1||_p in L^p(V, pi); p may be any real >= 1 or inf."""
+def transport_norm(eta: np.ndarray, weights: SiteWeights, p: float):
+    """||eta/pi - 1||_p in L^p(V, pi); p may be any real >= 1 or inf.
+
+    Works along the last axis: one state gives a float, a (rows, n) block of
+    states gives one norm per row, each equal to the norm of its row alone.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     dev = np.abs(np.asarray(eta, float) / weights.pi - 1.0)
     if math.isinf(p):
-        return float(dev.max())
-    return float(np.sum(weights.pi * dev ** p) ** (1.0 / p))
+        norm = dev.max(axis=-1)
+    else:
+        norm = np.sum(weights.pi * dev ** p, axis=-1) ** (1.0 / p)
+    return float(norm) if norm.ndim == 0 else norm

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gap, cutoff, avg-profile, cdsz, nash, verify.  Each accepts
---config PATH (YAML, schema in the README), --seed U64, --out DIR, and
---threads N; command-line values override the config file.
+--config PATH (YAML, schema in the README), --seed U64 and --out DIR;
+command-line values override the config file.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML experiment config")
     p.add_argument("--seed", type=int, help="base seed for all random streams")
     p.add_argument("--out", help="output directory for CSV/SVG/JSONL")
-    p.add_argument("--threads", type=int, help="worker threads for replica fan-out")
 
 
 def _load(args) -> harness.ExperimentConfig:
@@ -26,8 +25,6 @@ def _load(args) -> harness.ExperimentConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
     return cfg
 
 

@@ -7,7 +7,6 @@ averaged L^2 error, and the effective-dimension fit of heat-kernel decay.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ from scipy.linalg import eigh
 
 from . import averaging
 from .graphs import SiteWeights, WeightedGraph
-from .simulate import SimOptions, make_rng, simulate_averaging, simulate_splitting
+from .simulate import SimOptions, make_rng, simulate_averaging_batch, simulate_splitting
 from .spectral import (
     DEFAULT_TRANSIENT_CAP,
     Spectrum,
@@ -163,28 +162,28 @@ def multinomial_tv_exact(eta, weights: SiteWeights, k: int,
 
 
 def wasserstein_estimate(graph: WeightedGraph, weights: SiteWeights, eta0,
-                         t: float, p: float, replicas: int, seed: int,
-                         threads: int = 1):
-    """Monte Carlo mean and standard error of ||eta_t/pi - 1||_p over
-    independent averaging replicas (one Philox stream per replica)."""
+                         times, p: float, replicas: int, seed: int):
+    """Monte Carlo mean and standard error of ||eta_t/pi - 1||_p over the
+    averaging replicas 0..replicas-1 of ``seed``, run as one lockstep batch.
+
+    ``times`` is one time, giving (mean, stderr) floats, or an ascending
+    sequence of times, giving arrays of means and standard errors.
+    """
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a standard error")
-    eta0 = np.asarray(eta0, float)
-
-    def one(replica: int) -> float:
-        opts = SimOptions(t_end=t, record_times=(t,), seed=seed, replica_id=replica)
-        states = simulate_averaging(graph, weights, eta0, opts)
-        return averaging.transport_norm(states[0], weights, p)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(one, range(replicas)))
-    else:
-        vals = [one(r) for r in range(replicas)]
-    vals = np.array(vals)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    return mean, stderr
+    single = np.ndim(times) == 0
+    times = tuple(float(t) for t in np.atleast_1d(times))
+    opts = SimOptions(t_end=times[-1], record_times=times, seed=seed)
+    norms, _ = simulate_averaging_batch(
+        graph, weights, eta0, opts, replicas,
+        observe=lambda block: averaging.transport_norm(block, weights, p))
+    # one contiguous row per time: the sums run as they would over a 1-d array
+    per_time = np.ascontiguousarray(norms.T)
+    means = per_time.mean(axis=1)
+    errs = per_time.std(axis=1, ddof=1) / math.sqrt(replicas)
+    if single:
+        return float(means[0]), float(errs[0])
+    return means, errs
 
 
 def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
@@ -267,17 +266,20 @@ class WilsonReport:
 
 
 def wilson_report(graph: WeightedGraph, weights: SiteWeights, k: int, eta,
-                  t: float, mc_replicas: int = 0, seed: int = 0) -> WilsonReport:
+                  t: float, mc_replicas: int = 0, seed: int = 0,
+                  spec: Spectrum | None = None) -> WilsonReport:
     """Wilson statistic built from the single-particle gap eigenfunction.
 
     Exact parts: equilibrium mean/variance from the multinomial moments, the
     out-of-equilibrium mean k e^(-t gap) <psi, eta/pi>, the ratio a_t, and
     the TV lower bound max(0, 1 - 8/a_t).  ``mc_replicas`` > 0 adds a Monte
     Carlo estimate of the statistic's out-of-equilibrium mean and variance.
+    ``spec`` is the single-particle spectrum, when the caller already has it.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    spec = single_particle_spectrum(graph, weights)
+    if spec is None:
+        spec = single_particle_spectrum(graph, weights)
     psi = spec.psi
     pi = weights.pi
     eta = np.asarray(eta, float)
@@ -423,34 +425,46 @@ def l2_sq_exact(graph: WeightedGraph, weights: SiteWeights, eta, t: float,
                 tol: float = 1e-10) -> float:
     """Exact expected ||eta_t/pi - 1||_2^2 through the two-particle kernel:
     eta^T M_t eta - 1 with M_t the evolved diagonal-over-pi observable."""
-    M = _pair_diagonal_kernel(graph, weights, t, tol)
+    M = _pair_diagonal_kernels(graph, weights, [t], tol)[0]
     eta = np.asarray(eta, float)
     return float(eta @ M @ eta - 1.0)
 
 
-def _pair_diagonal_kernel(graph: WeightedGraph, weights: SiteWeights, t: float,
-                          tol: float) -> np.ndarray:
+def _pair_diagonal_kernels(graph: WeightedGraph, weights: SiteWeights, times,
+                           tol: float):
+    """M_t for each t, with the two-particle generator and its uniformization
+    built once for all times."""
     n = graph.n
-    pi = weights.pi
-    Q2 = generator_splitting_labeled(graph, weights, 2)
-    g0 = np.zeros((n, n))
-    np.fill_diagonal(g0, 1.0 / pi)
-    evolved = evolve_observable(Q2, g0.reshape(-1), t, tol)
-    return evolved.reshape(n, n)
+    semigroup = _Uniformization(generator_splitting_labeled(graph, weights, 2))
+    g0 = np.diag(1.0 / weights.pi).reshape(-1)
+    out = []
+    for t in times:
+        if t < 0:
+            raise ValueError("time must be nonnegative")
+        out.append(semigroup.evolve(g0, t, tol, measure=False).reshape(n, n))
+    return out
 
 
-def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t: float,
-                tol: float = 1e-10, n_random: int = 100, seed: int = 0) -> float:
+def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t,
+                tol: float = 1e-10, n_random: int = 100, seed: int = 0):
     """Approximate sup over starting profiles of the exact averaged squared
     L^2 error: maximize over all Dirac profiles plus random simplex points
-    (worst cases sit at extreme points)."""
-    M = _pair_diagonal_kernel(graph, weights, t, tol)
-    best = float(np.max(np.diag(M))) - 1.0
+    (worst cases sit at extreme points).
+
+    ``t`` is one time, giving a float, or a sequence of times, giving a list;
+    the two-particle kernel is built once for all of them.
+    """
+    single = np.ndim(t) == 0
+    kernels = _pair_diagonal_kernels(graph, weights, np.atleast_1d(t).tolist(), tol)
     rng = make_rng(seed, 0, stream=2)
-    for _ in range(n_random):
-        eta = rng.dirichlet(np.ones(graph.n))
-        best = max(best, float(eta @ M @ eta - 1.0))
-    return max(best, 0.0)
+    etas = [rng.dirichlet(np.ones(graph.n)) for _ in range(n_random)]
+    out = []
+    for M in kernels:
+        best = float(np.max(np.diag(M))) - 1.0
+        for eta in etas:
+            best = max(best, float(eta @ M @ eta - 1.0))
+        out.append(max(best, 0.0))
+    return out[0] if single else out
 
 
 DISTANCE_CSV_HEADER = "t,t_over_trel,value,stderr,kind"

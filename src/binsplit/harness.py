@@ -16,7 +16,6 @@ import datetime as _dt
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +82,13 @@ class ExperimentConfig:
     seed: int = 0
     tol: float = 1e-9
     out: str | None = None
-    threads: int = 1
     p_norm: float = 2.0
     window_C: list = field(default_factory=lambda: [1.0])
     eta0: object = None
     extra: dict = field(default_factory=dict)
 
 
-_NUMBER_KEYS = {"replicas": int, "seed": int, "threads": int, "tol": float, "p_norm": float}
+_NUMBER_KEYS = {"replicas": int, "seed": int, "tol": float, "p_norm": float}
 _NUMBER_LIST_KEYS = {"k": int, "window_C": float}
 
 
@@ -387,7 +385,9 @@ def run_cutoff_bin(config: ExperimentConfig):
 
     Exact profiles (all particles piled on one vertex, worst over starts)
     when the occupation space fits; otherwise the upper/lower bracket from
-    the averaged L^2 error and Wilson's statistic.  Rows tagged ``tmix``,
+    the averaged L^2 error and Wilson's statistic, with the two-particle
+    kernel built once per k and the single-particle spectrum reused by every
+    Wilson bound.  Rows tagged ``tmix``,
     ``t_plus``, ``t_minus`` annotate the reference times.
     """
     graph = resolve_graph(config.graph)
@@ -410,17 +410,18 @@ def run_cutoff_bin(config: ExperimentConfig):
                 records.append(ProfileRecord("cutoff", k, t, t / t_rel, float(d.max()),
                                              0.0, "exact_tv"))
         else:
-            for t in times:
-                w2 = distances.worst_l2_sq(graph, weights, t, config.tol,
-                                           seed=config.seed)
+            w2s = distances.worst_l2_sq(graph, weights, times, config.tol,
+                                        seed=config.seed)
+            starts = _worst_dirac_starts(graph, config.seed)
+            for t, w2 in zip(times, w2s):
                 records.append(ProfileRecord("cutoff", k, t, t / t_rel,
                                              distances.tv_bound_from_l2(k, w2),
                                              0.0, "upper"))
                 lb = 0.0
-                for v in _worst_dirac_starts(graph, config.seed):
+                for v in starts:
                     eta = np.zeros(graph.n)
                     eta[v] = 1.0
-                    rep = distances.wilson_report(graph, weights, k, eta, t)
+                    rep = distances.wilson_report(graph, weights, k, eta, t, spec=spec1)
                     lb = max(lb, rep.lower_bound)
                 records.append(ProfileRecord("cutoff", k, t, t / t_rel, lb,
                                              0.0, "lower"))
@@ -467,9 +468,8 @@ def run_avg_profile(config: ExperimentConfig):
     records = []
     for k in config.k:
         times = resolve_time_grid(config.times, t_rel, k)
-        means, errs = _wasserstein_profile(graph, weights, eta0, times, p,
-                                           config.replicas, config.seed,
-                                           config.threads)
+        means, errs = distances.wasserstein_estimate(graph, weights, eta0, times, p,
+                                                     config.replicas, config.seed)
         scale = math.sqrt(k)
         for t, m, s in zip(times, means, errs):
             records.append(ProfileRecord("avg_profile", k, t, t / t_rel, m, s,
@@ -485,24 +485,6 @@ def run_avg_profile(config: ExperimentConfig):
         write_profile_csv(os.path.join(config.out, "avg_profile.csv"), records)
         _maybe_svg(config.out, "avg_profile", records, "wasserstein")
     return records
-
-
-def _wasserstein_profile(graph, weights, eta0, times, p, replicas, seed, threads):
-    def one(replica: int):
-        opts = simulate.SimOptions(t_end=times[-1], record_times=tuple(times),
-                                   seed=seed, replica_id=replica)
-        states = simulate.simulate_averaging(graph, weights, eta0, opts)
-        return [averaging.transport_norm(s, weights, p) for s in states]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_vals = list(pool.map(one, range(replicas)))
-    else:
-        all_vals = [one(r) for r in range(replicas)]
-    arr = np.array(all_vals)  # replicas x times
-    means = arr.mean(axis=0)
-    errs = arr.std(axis=0, ddof=1) / math.sqrt(replicas)
-    return means, errs
 
 
 def run_complete_cdsz(config: ExperimentConfig):
@@ -526,9 +508,8 @@ def run_complete_cdsz(config: ExperimentConfig):
         spec1 = distances.single_particle_spectrum(graph, weights)
         times = resolve_time_grid(tspec, spec1.t_rel)
     eta0 = _resolve_eta0(config, graph)
-    means, errs = _wasserstein_profile(graph, weights, eta0, times, 1.0,
-                                       config.replicas, config.seed,
-                                       config.threads)
+    means, errs = distances.wasserstein_estimate(graph, weights, eta0, times, 1.0,
+                                                 config.replicas, config.seed)
     records = [ProfileRecord("cdsz", 1, t, t / t_star, float(m), float(s), "wasserstein")
                for t, m, s in zip(times, means, errs)]
     crossing = level_crossing_time(times, means, 1.0)

@@ -1,23 +1,26 @@
-"""Event-driven continuous-time simulation of the averaging dynamics, the
-particle-splitting dynamics (unlabeled, labeled, and multicolored), with
-reproducible counter-based random streams.
+"""Continuous-time simulation of the averaging dynamics and of the particle-
+splitting dynamics (unlabeled, labeled, and multicolored), with reproducible
+counter-based random streams.
 
-Scheduling draws one global exponential clock at the total conductance rate
-and picks the edge proportionally to its conductance, which is equal in law
-to independent per-edge clocks.  Each replica owns a Philox stream keyed by
-(seed, replica_id), so replicas parallelize with no shared state and results
-do not depend on thread count.  Per event the draw order is fixed: holding
-time, edge choice, then the redistribution draws; in the per-particle mode
-the redistribution consumes one uniform per pooled particle in canonical
-(color ascending by source vertex, particle index) order, which makes the
-color-blind sum of the multicolored run coincide pathwise with an uncolored
-run under the same seed.
+Independent per-edge clocks are equal in law to one Poisson clock at the
+total conductance C whose events pick edge xy with probability c_xy / C.  A
+recorded state depends only on the events before it and their edges, not on
+their times, so replica r, which owns the Philox stream keyed by
+(seed, r, stream 0), draws per record interval of length dt, in this order:
+a Poisson(C dt) event count, one uniform mark per event (the mark picks the
+edge by conductance), then the redistribution draws of those events in event
+order (splitting dynamics only).  A ``fast_binomial`` redistribution is one
+binomial draw; the per-particle mode consumes one uniform per pooled particle
+in canonical (color ascending by source vertex, particle index) order, which
+makes the color-blind sum of a multicolored run coincide pathwise with an
+uncolored run under the same seed.  ``STREAM_LAYOUT`` numbers this layout.
+Averaging replicas advance in lockstep batches (``simulate_averaging_batch``)
+whose rows are bit-identical to the replicas run alone.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,18 +29,25 @@ import numpy as np
 from .graphs import SiteWeights, WeightedGraph
 
 __all__ = [
+    "STREAM_LAYOUT",
     "SimOptions",
     "make_rng",
-    "sample_binomial",
-    "next_event",
     "simulate_averaging",
+    "simulate_averaging_batch",
     "simulate_splitting",
     "simulate_splitting_labeled",
     "simulate_multicolored",
     "dump_trajectories_csv",
 ]
 
+# Version of the draw order above; results at a fixed seed change with it.
+STREAM_LAYOUT = 2
+
 COUPLING_MODES = ("fast_binomial", "per_particle_bernoulli")
+DRIFT_TOL = 1e-12          # largest mass defect of a recorded averaging state
+GROUP_BYTES = 1 << 21      # working memory of one lockstep group of replicas
+MAX_HELD_MARKS = 4096      # marks one replica holds at once in a group
+MARK_BYTES = 64            # working bytes per held mark (marks, edges, indices)
 
 
 def make_rng(seed: int, replica_id: int = 0, stream: int = 0) -> np.random.Generator:
@@ -76,111 +86,117 @@ class SimOptions:
         object.__setattr__(self, "record_times", rec)
 
 
-def sample_binomial(m: int, p: float, rng: np.random.Generator) -> int:
-    """Exact Binomial(m, p) draw.
+@dataclass(frozen=True)
+class _Tables:
+    """Per-(graph, weights) event tables shared by replicas."""
 
-    CDF inversion (single uniform, success ratio kept <= 1/2 via symmetry)
-    for m <= 64; above that, the generator's exact rejection sampler.  Never
-    a normal approximation.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0 or p == 0.0:
-        return 0
-    if p == 1.0:
-        return m
-    if m > 64:
-        return int(rng.binomial(m, p))
-    if p > 0.5:
-        return m - sample_binomial(m, 1.0 - p, rng)
-    u = rng.random()
-    q = (1.0 - p) ** m
-    ratio = p / (1.0 - p)
-    cdf = q
-    j = 0
-    while u > cdf and j < m:
-        j += 1
-        q *= (m - j + 1) / j * ratio
-        cdf += q
-    return j
+    total: float       # total conductance, the event rate
+    cum: np.ndarray    # cumulative conductances, for marks -> edges
+    x: np.ndarray      # edge endpoints
+    y: np.ndarray
+    px: np.ndarray     # share of the pooled value that goes to x
 
-
-class _EdgePicker:
-    """Cumulative-conductance table for O(log E) proportional edge choice."""
-
-    def __init__(self, graph: WeightedGraph):
-        self.cum = np.cumsum(graph.edge_c).tolist()
-        self.total = self.cum[-1]
-        self.n_edges = len(self.cum)
-
-    def pick(self, u: float) -> int:
-        idx = bisect_right(self.cum, u * self.total)
-        return min(idx, self.n_edges - 1)
+    def edges_of(self, marks: np.ndarray) -> np.ndarray:
+        """Edge picked by each uniform mark, proportionally to conductance."""
+        idx = np.searchsorted(self.cum, marks * self.total, side="right")
+        return np.minimum(idx, self.cum.size - 1)
 
 
 @lru_cache(maxsize=16)
-def _sim_tables(graph: WeightedGraph, weights: SiteWeights):
-    """Per-(graph, weights) tables shared by replicas: edge picker, endpoint
-    lists, and the x-side split probability of every edge."""
-    pi = weights.pi
-    xs = [int(x) for x in graph.edge_x]
-    ys = [int(y) for y in graph.edge_y]
-    px = [float(pi[x] / (pi[x] + pi[y])) for x, y in zip(xs, ys)]
-    return _EdgePicker(graph), xs, ys, px
-
-
-def next_event(graph: WeightedGraph, rng: np.random.Generator,
-               picker: _EdgePicker | None = None):
-    """Holding time (exponential at the total conductance) and edge index."""
+def _sim_tables(graph: WeightedGraph, weights: SiteWeights) -> _Tables:
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
-    if picker is None:
-        picker = _EdgePicker(graph)
-    dt = rng.standard_exponential() / picker.total
-    edge = picker.pick(rng.random())
-    return dt, edge
+    pi = weights.pi
+    x, y = graph.edge_x, graph.edge_y
+    cum = np.cumsum(graph.edge_c)
+    return _Tables(total=float(cum[-1]), cum=cum, x=x, y=y,
+                   px=pi[x] / (pi[x] + pi[y]))
+
+
+def _group_shape(n: int, expected_events: float):
+    """(replicas per lockstep group, marks each of them holds at once): the
+    state rows plus the marks of the longest interval fit in GROUP_BYTES."""
+    held = int(min(MAX_HELD_MARKS, expected_events + 6.0 * math.sqrt(expected_events) + 1.0))
+    return max(1, GROUP_BYTES // (8 * n + MARK_BYTES * held)), held
+
+
+def _apply_marks(flat: np.ndarray, n: int, tab: _Tables, marks: np.ndarray,
+                 counts: np.ndarray) -> None:
+    """Apply row r's first counts[r] marks, in order, to row r of the
+    row-major state ``flat``; step s updates every row with an s-th mark."""
+    order = np.argsort(-counts, kind="stable")
+    ranked = counts[order]
+    steps = int(ranked[0])
+    active = np.searchsorted(-ranked, -np.arange(steps), side="left").tolist()
+    edges = tab.edges_of(marks[order, :steps]).T   # (steps, rows)
+    row0 = order * n
+    fx = tab.x[edges] + row0
+    fy = tab.y[edges] + row0
+    px = tab.px[edges]
+    for s, k in enumerate(active):
+        ix, iy = fx[s, :k], fy[s, :k]
+        pooled = flat[ix] + flat[iy]
+        share = px[s, :k] * pooled
+        flat[ix] = share
+        flat[iy] = pooled - share
+
+
+def simulate_averaging_batch(graph: WeightedGraph, weights: SiteWeights, eta0,
+                             opts: SimOptions, replicas: int, observe=None):
+    """Replicas opts.replica_id, ..., opts.replica_id + replicas - 1 of the
+    averaging dynamics, advanced in lockstep groups.
+
+    Returns (values, drift).  ``values[r, i]`` is row r of ``observe(block)``
+    applied to the (rows, n) block of states at record time i (the state
+    itself when ``observe`` is None), so ``values`` has shape
+    (replicas, len(record_times)) plus the trailing shape of ``observe``.
+    Float drift is guarded per replica: at each record time a state whose
+    mass is off 1 by more than DRIFT_TOL is rescaled (the dynamics are
+    linear, so this changes them only within rounding); ``drift`` is the
+    total number of rescales over all replicas.
+    """
+    tab = _sim_tables(graph, weights)
+    n = graph.n
+    eta0 = np.asarray(eta0, dtype=float)
+    if eta0.shape != (n,):
+        raise ValueError(f"start must be a vector of length {n}, got shape {eta0.shape}")
+    rec = opts.record_times
+    lams = [tab.total * (t - s) for s, t in zip((0.0,) + rec, rec)]
+    group, held = _group_shape(n, max(lams, default=0.0))
+    observe = observe or np.copy
+    probe = np.asarray(observe(eta0[None, :]))
+    values = np.empty((replicas, len(rec)) + probe.shape[1:], probe.dtype)
+    drift = 0
+    for g0 in range(0, replicas, group):
+        rows = min(group, replicas - g0)
+        rngs = [make_rng(opts.seed, opts.replica_id + g0 + r) for r in range(rows)]
+        eta = np.tile(eta0, (rows, 1))
+        flat = eta.reshape(-1)
+        marks = np.zeros((rows, held))
+        for i, lam in enumerate(lams):
+            left = np.array([rng.poisson(lam) for rng in rngs], dtype=np.int64)
+            while left.any():
+                take = np.minimum(left, held)
+                for r in np.flatnonzero(take).tolist():
+                    rngs[r].random(out=marks[r, :take[r]])
+                _apply_marks(flat, n, tab, marks, take)
+                left -= take
+            mass = eta.sum(axis=1)
+            off = np.abs(mass - 1.0) > DRIFT_TOL
+            eta[off] /= mass[off, None]
+            drift += int(off.sum())
+            values[g0:g0 + rows, i] = observe(eta)
+    return values, drift
 
 
 def simulate_averaging(graph: WeightedGraph, weights: SiteWeights, eta0,
                        opts: SimOptions, return_drift: bool = False):
-    """States of the averaging dynamics at the requested record times.
-
-    Long trajectories are guarded against float drift: if the running mass
-    leaves 1 by more than 1e-12 the state is rescaled and a drift counter
-    incremented (dynamics unchanged within rounding).
-    """
-    rng = make_rng(opts.seed, opts.replica_id)
-    picker, exs, eys, px = _sim_tables(graph, weights)
-    eta = [float(v) for v in np.asarray(eta0, dtype=float)]
-    total = math.fsum(eta)
-    drift = 0
-    rec = opts.record_times
-    out = []
-    t = 0.0
-    i = 0
-    while i < len(rec):
-        dt = rng.standard_exponential() / picker.total
-        e = picker.pick(rng.random())
-        t_new = t + dt
-        while i < len(rec) and rec[i] < t_new:
-            out.append(np.array(eta))
-            i += 1
-        if i >= len(rec):
-            break
-        x, y = exs[e], eys[e]
-        pooled = eta[x] + eta[y]
-        new_x = px[e] * pooled
-        new_y = pooled - new_x
-        total += (new_x + new_y) - pooled
-        eta[x] = new_x
-        eta[y] = new_y
-        if abs(total - 1.0) > 1e-12:
-            eta = [v / total for v in eta]
-            total = math.fsum(eta)
-            drift += 1
-        t = t_new
+    """States of the averaging dynamics at the requested record times: the
+    lockstep batch of the one replica ``opts.replica_id``.  With
+    ``return_drift`` also the number of drift rescales (see
+    :func:`simulate_averaging_batch`)."""
+    states, drift = simulate_averaging_batch(graph, weights, eta0, opts, 1)
+    out = list(states[0])
     if return_drift:
         return out, drift
     return out
@@ -193,7 +209,7 @@ def _redistribute_counts(state, x: int, y: int, p: float, mode: str,
     if mode == "fast_binomial":
         if m == 0:
             return
-        k_x = sample_binomial(m, p, rng)
+        k_x = int(rng.binomial(m, p))
     else:
         u = rng.random(m)
         k_x = int(np.count_nonzero(u < p))
@@ -201,30 +217,36 @@ def _redistribute_counts(state, x: int, y: int, p: float, mode: str,
     state[y] = m - k_x
 
 
+def _run_replica(graph: WeightedGraph, weights: SiteWeights, opts: SimOptions,
+                 update, snapshot):
+    """Drive one splitting replica: ``update(x, y, p, rng)`` for each event
+    on edge xy (p the x-side share), ``snapshot()`` at each record time.  Per
+    record interval the stream draws the event count, then all the marks,
+    then the updates' own draws in event order."""
+    rng = make_rng(opts.seed, opts.replica_id)
+    tab = _sim_tables(graph, weights)
+    exs, eys, pxs = tab.x.tolist(), tab.y.tolist(), tab.px.tolist()
+    out = []
+    t_prev = 0.0
+    for t in opts.record_times:
+        marks = rng.random(rng.poisson(tab.total * (t - t_prev)))
+        for e in tab.edges_of(marks).tolist():
+            update(exs[e], eys[e], pxs[e], rng)
+        out.append(snapshot())
+        t_prev = t
+    return out
+
+
 def simulate_splitting(graph: WeightedGraph, weights: SiteWeights, xi0,
                        opts: SimOptions):
     """Occupation vectors of the unlabeled particle system at record times."""
-    rng = make_rng(opts.seed, opts.replica_id)
-    picker, exs, eys, px = _sim_tables(graph, weights)
     xi = [int(v) for v in np.asarray(xi0)]
     if any(v < 0 for v in xi):
         raise ValueError("occupation counts must be nonnegative")
-    rec = opts.record_times
-    out = []
-    t = 0.0
-    i = 0
-    while i < len(rec):
-        dt = rng.standard_exponential() / picker.total
-        e = picker.pick(rng.random())
-        t_new = t + dt
-        while i < len(rec) and rec[i] < t_new:
-            out.append(np.array(xi, dtype=np.int64))
-            i += 1
-        if i >= len(rec):
-            break
-        _redistribute_counts(xi, exs[e], eys[e], px[e], opts.coupling_mode, rng)
-        t = t_new
-    return out
+    mode = opts.coupling_mode
+    return _run_replica(graph, weights, opts,
+                        lambda x, y, p, rng: _redistribute_counts(xi, x, y, p, mode, rng),
+                        lambda: np.array(xi, dtype=np.int64))
 
 
 def simulate_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, xs0,
@@ -234,30 +256,16 @@ def simulate_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, xs0,
     Coordinates on the updated edge are re-placed independently, consuming
     one uniform per affected coordinate in coordinate order.
     """
-    rng = make_rng(opts.seed, opts.replica_id)
-    picker, exs, eys, px = _sim_tables(graph, weights)
     xs = [int(v) for v in xs0]
-    rec = opts.record_times
-    out = []
-    t = 0.0
-    i = 0
-    while i < len(rec):
-        dt = rng.standard_exponential() / picker.total
-        e = picker.pick(rng.random())
-        t_new = t + dt
-        while i < len(rec) and rec[i] < t_new:
-            out.append(tuple(xs))
-            i += 1
-        if i >= len(rec):
-            break
-        x, y, p = exs[e], eys[e], px[e]
+
+    def update(x, y, p, rng):
         active = [j for j, v in enumerate(xs) if v == x or v == y]
         if active:
             u = rng.random(len(active))
             for t_idx, j in enumerate(active):
                 xs[j] = x if u[t_idx] < p else y
-        t = t_new
-    return out
+
+    return _run_replica(graph, weights, opts, update, lambda: tuple(xs))
 
 
 def simulate_multicolored(graph: WeightedGraph, weights: SiteWeights, xi0,
@@ -277,27 +285,13 @@ def simulate_multicolored(graph: WeightedGraph, weights: SiteWeights, xi0,
             "colors share one per-particle draw stream, so the color-blind sum "
             "reproduces the uncolored run pathwise"
         )
-    rng = make_rng(opts.seed, opts.replica_id)
-    picker, exs, eys, px = _sim_tables(graph, weights)
     n = graph.n
     xi0 = np.asarray(xi0, dtype=np.int64)
     state = np.zeros((n, n), dtype=np.int64)  # row = color, col = vertex
     for z in range(n):
         state[z, z] = xi0[z]
-    rec = opts.record_times
-    out = []
-    t = 0.0
-    i = 0
-    while i < len(rec):
-        dt = rng.standard_exponential() / picker.total
-        e = picker.pick(rng.random())
-        t_new = t + dt
-        while i < len(rec) and rec[i] < t_new:
-            out.append(state.copy())
-            i += 1
-        if i >= len(rec):
-            break
-        x, y, p = exs[e], eys[e], px[e]
+
+    def update(x, y, p, rng):
         m_per_color = state[:, x] + state[:, y]
         u = rng.random(int(m_per_color.sum()))
         offset = 0
@@ -309,8 +303,8 @@ def simulate_multicolored(graph: WeightedGraph, weights: SiteWeights, xi0,
             offset += m_z
             state[z, x] = k_x
             state[z, y] = m_z - k_x
-        t = t_new
-    return out
+
+    return _run_replica(graph, weights, opts, update, state.copy)
 
 
 def dump_trajectories_csv(path, results, record_times, kind: str) -> None:

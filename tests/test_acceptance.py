@@ -14,7 +14,7 @@ from binsplit.distances import (chi2_multinomial, l2_decomposition,
                                 multinomial_tv_exact, nash_diagnose, nash_fit,
                                 single_particle_spectrum, tv_bound_from_l2,
                                 tv_bound_multinomial, tv_profile_exact,
-                                wilson_report, worst_l2_sq)
+                                wasserstein_estimate, wilson_report, worst_l2_sq)
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
 from binsplit.simulate import SimOptions, simulate_multicolored, simulate_splitting
@@ -337,8 +337,8 @@ def test_c15_no_cutoff_bands():
     # averaging: Monte Carlo transport profile within the band, above the
     # exact evolved-density lower curve and the gap-decay lower bound
     eta0 = init.astype(float)
-    means, errs = harness._wasserstein_profile(graph, weights, eta0, list(ts),
-                                               2.0, 400, 1501, 1)
+    means, errs = wasserstein_estimate(graph, weights, eta0, list(ts),
+                                       2.0, 400, 1501)
     from binsplit.distances import evolved_density
     for t, m, s in zip(ts, means, errs):
         assert m - 4 * s <= 20.0 * math.exp(-t / t_rel)

@@ -14,7 +14,6 @@ from binsplit.distances import (chi2_multinomial, evolved_density, heat_kernel,
                                 wilson_report, worst_l2_sq)
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
-from binsplit.harness import _wasserstein_profile
 from binsplit.spectral import enumerate_configs, multinomial_measure
 
 
@@ -104,10 +103,17 @@ def test_wasserstein_estimate_examples():
     assert err == 0.0
     with pytest.raises(ValueError):
         wasserstein_estimate(g, w, eta0, 1.0, 2.0, 1, seed=1)
-    # threads do not change the estimate
-    m1, e1 = wasserstein_estimate(g, w, eta0, 0.8, 2.0, 64, seed=2, threads=1)
-    m4, e4 = wasserstein_estimate(g, w, eta0, 0.8, 2.0, 64, seed=2, threads=4)
-    assert m1 == m4 and e1 == e4
+    # one time gives floats, a sequence of one time gives arrays of the same values
+    m1, e1 = wasserstein_estimate(g, w, eta0, 0.8, 2.0, 64, seed=2)
+    ms, es = wasserstein_estimate(g, w, eta0, [0.8], 2.0, 64, seed=2)
+    assert isinstance(m1, float) and ms.shape == es.shape == (1,)
+    assert m1 == ms[0] and e1 == es[0]
+    # a profile is reproducible and never increases
+    times = [0.2, 0.8, 1.5]
+    ma, ea = wasserstein_estimate(g, w, eta0, times, 1.0, 50, seed=3)
+    mb, eb = wasserstein_estimate(g, w, eta0, times, 1.0, 50, seed=3)
+    assert np.array_equal(ma, mb) and np.array_equal(ea, eb)
+    assert np.all(np.diff(ma) <= 0)
 
 
 def test_tv_profile_exact_examples():
@@ -176,14 +182,13 @@ def test_l2_decomposition_matches_monte_carlo():
     t = single_particle_spectrum(g, w).t_rel
     h, nt = l2_decomposition(g, w, eta, t, 1e-10)
     replicas = 3000
-    vals = []
-    means, errs = _wasserstein_profile(g, w, eta, [t], 2.0, replicas, 33, 1)
-    # compare squared-norm means: E[X^2] = Var + mean^2 via the raw samples
-    from binsplit.simulate import SimOptions, simulate_averaging
-    sq = np.empty(replicas)
-    for r in range(replicas):
-        opts = SimOptions(t_end=t, record_times=(t,), seed=33, replica_id=r)
-        sq[r] = transport_norm(simulate_averaging(g, w, eta, opts)[0], w, 2.0) ** 2
+    # compare squared-norm means through the raw samples of each replica
+    from binsplit.simulate import SimOptions, simulate_averaging_batch
+    opts = SimOptions(t_end=t, record_times=(t,), seed=33)
+    sq, _ = simulate_averaging_batch(
+        g, w, eta, opts, replicas,
+        observe=lambda block: transport_norm(block, w, 2.0) ** 2)
+    sq = sq[:, 0]
     stderr = sq.std(ddof=1) / math.sqrt(replicas)
     assert abs(sq.mean() - (h + nt)) <= 4 * stderr
 

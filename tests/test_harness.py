@@ -341,20 +341,29 @@ def test_cli_cutoff_and_nash(tmp_path, capsys):
     assert "finite_dimensional" in capsys.readouterr().out
 
 
-def test_profile_runner_thread_count_invariant(tmp_path):
-    # reproducibility survives thread-count changes: byte-identical CSV bodies
+def test_profile_runner_reruns_byte_identical(tmp_path):
+    # same config and seed: byte-identical CSV bodies
     bodies = []
-    for threads, sub in ((1, "a"), (4, "b")):
+    for sub in ("a", "b"):
         out = tmp_path / sub
         cfg = ExperimentConfig(
             graph={"kind": "cycle", "size": 6},
             k=[4],
             times={"mode": "trel", "multiples": [0.5, 1.0, 2.0]},
             replicas=120,
-            threads=threads,
             out=str(out),
             seed=21,
         )
         run_avg_profile(cfg)
         bodies.append((out / "avg_profile.csv").read_text().splitlines()[1:])
     assert bodies[0] == bodies[1]
+
+
+def test_thread_knob_is_gone(tmp_path, capsys):
+    cfg_path = tmp_path / "threads.yaml"
+    cfg_path.write_text("graph: {kind: cycle, size: 6}\nthreads: 2\n")
+    with pytest.raises(ValueError, match="threads"):
+        load_config(cfg_path)
+    with pytest.raises(SystemExit):
+        cli_main(["avg-profile", "--threads", "2"])
+    assert "--threads" in capsys.readouterr().err

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.stats import binom, chi2
@@ -7,10 +5,11 @@ from scipy.stats import binom, chi2
 from binsplit.averaging import transport_norm
 from binsplit.distances import single_particle_spectrum, tv_distance
 from binsplit.graphs import cycle_graph, path_graph, site_weights, uniform_weights
-from binsplit.simulate import (SimOptions, dump_trajectories_csv, make_rng,
-                               next_event, sample_binomial, simulate_averaging,
-                               simulate_multicolored, simulate_splitting,
-                               simulate_splitting_labeled)
+from binsplit import simulate
+from binsplit.simulate import (STREAM_LAYOUT, SimOptions, dump_trajectories_csv,
+                               make_rng, simulate_averaging,
+                               simulate_averaging_batch, simulate_multicolored,
+                               simulate_splitting, simulate_splitting_labeled)
 from binsplit.spectral import generator_single_particle, transient_distribution
 
 
@@ -23,29 +22,17 @@ def test_sim_options_validation():
         SimOptions(t_end=1.0, coupling_mode="magic")
 
 
-def test_sample_binomial_degenerate_and_range():
-    rng = make_rng(0)
-    assert sample_binomial(10, 0.0, rng) == 0
-    assert sample_binomial(10, 1.0, rng) == 10
-    assert sample_binomial(0, 0.3, rng) == 0
-    for _ in range(200):
-        assert 0 <= sample_binomial(7, 0.83, rng) <= 7
-
-
-def test_sample_binomial_large_m_moments():
-    rng = make_rng(1)
-    m, p, draws = 10 ** 6, 0.3, 10 ** 4
-    vals = np.array([sample_binomial(m, p, rng) for _ in range(draws)])
-    assert abs(vals.mean() - m * p) <= 3 * math.sqrt(m * p * (1 - p))
-
-
-def test_sample_binomial_chi_square_gof():
-    # exact pmf oracle; merge the sparse upper tail so expected counts stay sane
+def test_splitting_edge_step_chi_square_gof():
+    # one fast_binomial edge step of simulate_splitting against the exact pmf;
+    # merge the sparse upper tail so expected counts stay sane
     rng = make_rng(2)
     m, p, draws = 20, 0.37, 10 ** 6
     counts = np.zeros(m + 1, dtype=np.int64)
     for _ in range(draws):
-        counts[sample_binomial(m, p, rng)] += 1
+        state = [m, 0]
+        simulate._redistribute_counts(state, 0, 1, p, "fast_binomial", rng)
+        assert state[0] + state[1] == m
+        counts[state[0]] += 1
     expected = binom.pmf(np.arange(m + 1), m, p) * draws
     # merge bins with expected < 5 into their left neighbor
     obs, exp = [], []
@@ -64,22 +51,39 @@ def test_sample_binomial_chi_square_gof():
     assert stat <= chi2.ppf(1 - 0.001, dof)
 
 
-def test_next_event_statistics():
-    g1 = path_graph(2)
-    rng = make_rng(3)
-    draws = 10 ** 5
-    dts = np.array([next_event(g1, rng)[0] for _ in range(draws)])
-    assert abs(dts.mean() - 1.0) <= 0.02
+def _schedule(graph, times, seed, replica_id=0):
+    """Per record interval, the x endpoints of one replica's events."""
+    events = []
+    opts = SimOptions(t_end=times[-1], record_times=times, seed=seed,
+                      replica_id=replica_id)
+    ends = simulate._run_replica(graph, uniform_weights(graph.n), opts,
+                                 lambda x, y, p, rng: events.append(x),
+                                 lambda: len(events))
+    return np.split(np.array(events), ends[:-1])
+
+
+def test_event_schedule_statistics():
+    # per record interval: a Poisson(C dt) count, then marks that pick edges
+    # in proportion to conductance
+    assert STREAM_LAYOUT == 2
+    intervals = 10 ** 5
+    n1 = np.array([len(e) for e in _schedule(path_graph(2),
+                                             np.arange(1.0, intervals + 1), 3)])
+    assert abs(n1.mean() - 1.0) <= 0.02
     g2 = path_graph(3, conductance=[1.0, 3.0])
-    rng2 = make_rng(4)
-    picks = np.array([next_event(g2, rng2)[1] for _ in range(draws)])
+    per_interval = _schedule(g2, 0.5 * np.arange(1, intervals + 1), 4)
+    n2 = np.array([len(e) for e in per_interval])
+    assert abs(n2.mean() - 2.0) <= 0.03 and abs(n2.var() - 2.0) <= 0.1
+    # edge 1 = (1, 2) carries conductance 3 of 4
+    picks = np.concatenate(per_interval)
     assert abs((picks == 1).mean() - 0.75) <= 0.01
     # same seed, same stream
-    a = [next_event(g2, make_rng(9, 1)) for _ in range(1)]
-    b = [next_event(g2, make_rng(9, 1)) for _ in range(1)]
-    assert a == b
+    a = _schedule(g2, (0.5, 1.0), 9, replica_id=1)
+    b = _schedule(g2, (0.5, 1.0), 9, replica_id=1)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
     with pytest.raises(ValueError):
-        next_event(path_graph(1), rng)
+        simulate_averaging(path_graph(1), uniform_weights(1), np.array([1.0]),
+                           SimOptions(t_end=1.0, record_times=(1.0,)))
 
 
 def test_simulate_averaging_basics():
@@ -108,6 +112,62 @@ def test_simulate_averaging_descent_and_convergence():
         norms = [transport_norm(s, w, 2.0) for s in states]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] <= 1e-4
+
+
+def test_averaging_batch_rows_are_replicas():
+    g = cycle_graph(6)
+    w = site_weights([0.1, 0.2, 0.1, 0.25, 0.15, 0.2])
+    eta0 = np.array([0.5, 0.5, 0, 0, 0, 0])
+    times = (0.0, 0.4, 1.3, 2.0)
+    opts = SimOptions(t_end=2.0, record_times=times, seed=16)
+    batch, drift = simulate_averaging_batch(g, w, eta0, opts, 40)
+    assert batch.shape == (40, len(times), 6) and drift == 0
+    # the first R replicas of a 2R batch equal the R batch, bit for bit
+    half, _ = simulate_averaging_batch(g, w, eta0, opts, 20)
+    assert np.array_equal(batch[:20], half)
+    # simulate_averaging for replica r equals row r of the batch
+    for r in (0, 7, 39):
+        one = simulate_averaging(g, w, eta0, SimOptions(t_end=2.0, record_times=times,
+                                                        seed=16, replica_id=r))
+        assert np.array_equal(np.array(one), batch[r])
+    # observed values are the observable of the states, row by row
+    norms, _ = simulate_averaging_batch(
+        g, w, eta0, opts, 40, observe=lambda b: transport_norm(b, w, 1.0))
+    assert norms.shape == (40, len(times))
+    assert all(norms[r, i] == transport_norm(batch[r, i], w, 1.0)
+               for r in range(40) for i in range(len(times)))
+
+
+def test_averaging_batch_grouping_invariant(monkeypatch):
+    # results do not depend on the group size or on how an interval's marks
+    # are split into held chunks
+    g = cycle_graph(5)
+    w = uniform_weights(5)
+    eta0 = np.array([1.0, 0, 0, 0, 0])
+    opts = SimOptions(t_end=30.0, record_times=(0.5, 30.0), seed=17)
+    ref, _ = simulate_averaging_batch(g, w, eta0, opts, 30)
+    monkeypatch.setattr(simulate, "GROUP_BYTES", 1)
+    monkeypatch.setattr(simulate, "MAX_HELD_MARKS", 7)
+    assert simulate._group_shape(5, 150.0) == (1, 7)
+    small, _ = simulate_averaging_batch(g, w, eta0, opts, 30)
+    assert np.array_equal(ref, small)
+
+
+def test_drift_guard_rescales_off_mass_once():
+    g = cycle_graph(4)
+    w = uniform_weights(4)
+    times = (0.5, 2.0, 6.0)
+    opts = SimOptions(t_end=6.0, record_times=times, seed=18)
+    for eta0, rescales in ((np.array([1.0 + 1e-11, 0, 0, 0]), 1),
+                           (np.array([1.0, 0, 0, 0]), 0)):
+        for r in range(5):
+            one = SimOptions(t_end=6.0, record_times=times, seed=18, replica_id=r)
+            states, drift = simulate_averaging(g, w, eta0, one, return_drift=True)
+            assert drift == rescales
+            assert abs(states[-1].sum() - 1.0) <= 1e-12
+        batch, total = simulate_averaging_batch(g, w, eta0, opts, 25)
+        assert total == 25 * rescales
+        assert np.all(np.abs(batch.sum(axis=2) - 1.0) <= 1e-12)
 
 
 def test_simulate_splitting_conservation_and_stationary_law():
