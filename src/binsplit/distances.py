@@ -26,8 +26,10 @@ from .spectral import (
     generator_splitting,
     generator_splitting_labeled,
     multinomial_measure,
+    product_weights,
     spectral_gap,
     transient_distribution,
+    _symmetrized,
     _Uniformization,
 )
 
@@ -58,8 +60,6 @@ __all__ = [
     "nash_diagnose",
     "l2_decomposition",
     "l2_sq_exact",
-    "write_distance_csv",
-    "read_distance_csv",
     "pair_kernel_max_dev",
     "worst_l2_sq",
     "single_particle_spectrum",
@@ -116,11 +116,8 @@ def heat_kernel_max_profile(graph: WeightedGraph, weights: SiteWeights,
                             times) -> np.ndarray:
     """max_{x,y} h_t^x(y) on a time grid, via the exact eigendecomposition."""
     pi = weights.pi
-    Q = generator_single_particle(graph, weights).toarray()
+    lam, U = eigh(_symmetrized(generator_single_particle(graph, weights), pi))
     sq = np.sqrt(pi)
-    A = (sq[:, None] * (-Q)) / sq[None, :]
-    A = 0.5 * (A + A.T)
-    lam, U = eigh(A)
     out = np.empty(len(times))
     denom = np.outer(sq, sq)
     for i, t in enumerate(times):
@@ -173,7 +170,7 @@ def wasserstein_estimate(graph: WeightedGraph, weights: SiteWeights, eta0,
         raise ValueError("need at least 2 replicas for a standard error")
     single = np.ndim(times) == 0
     times = tuple(float(t) for t in np.atleast_1d(times))
-    opts = SimOptions(t_end=times[-1], record_times=times, seed=seed)
+    opts = SimOptions(record_times=times, seed=seed)
     norms, _ = simulate_averaging_batch(
         graph, weights, eta0, opts, replicas,
         observe=lambda block: averaging.transport_norm(block, weights, p))
@@ -298,7 +295,7 @@ def wilson_report(graph: WeightedGraph, weights: SiteWeights, k: int, eta,
         for r in range(mc_replicas):
             init_rng = make_rng(seed, r, stream=1)
             xi0 = init_rng.multinomial(k, eta)
-            opts = SimOptions(t_end=t, record_times=(t,), seed=seed, replica_id=r)
+            opts = SimOptions(record_times=(t,), seed=seed, replica_id=r)
             xi_t = simulate_splitting(graph, weights, xi0, opts)[0]
             vals[r] = float(np.dot(psi, xi_t))
         var_out = float(vals.var(ddof=1))
@@ -467,49 +464,12 @@ def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t,
     return out[0] if single else out
 
 
-DISTANCE_CSV_HEADER = "t,t_over_trel,value,stderr,kind"
-DISTANCE_CSV_KINDS = ("exact_tv", "upper", "lower", "wasserstein")
-
-
-def write_distance_csv(path, rows) -> None:
-    """Write distance-profile rows as `t,t_over_trel,value,stderr,kind`.
-
-    ``rows`` yields (t, t_over_trel, value, stderr, kind) tuples with kind in
-    :data:`DISTANCE_CSV_KINDS`.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(DISTANCE_CSV_HEADER + "\n")
-        for t, t_norm, value, stderr, kind in rows:
-            if kind not in DISTANCE_CSV_KINDS:
-                raise ValueError(f"kind must be one of {DISTANCE_CSV_KINDS}, got {kind!r}")
-            fh.write(f"{float(t)!r},{float(t_norm)!r},{float(value)!r},"
-                     f"{float(stderr)!r},{kind}\n")
-
-
-def read_distance_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if lines[0] != DISTANCE_CSV_HEADER:
-        raise ValueError(f"unexpected header {lines[0]!r}")
-    out = []
-    for ln in lines[1:]:
-        t, t_norm, value, stderr, kind = ln.split(",")
-        out.append((float(t), float(t_norm), float(value), float(stderr), kind))
-    return out
-
-
 def pair_kernel_max_dev(graph: WeightedGraph, weights: SiteWeights, t: float,
                         tol: float = 1e-10) -> float:
     """max over pairs |p_t((x,y),(z,w)) / (pi_z pi_w) - 1| for the labeled
     two-particle system."""
     n = graph.n
-    pi = weights.pi
     Q2 = generator_splitting_labeled(graph, weights, 2)
-    denom = np.outer(pi, pi).reshape(-1)
-    worst = 0.0
-    for start in range(n * n):
-        init = np.zeros(n * n)
-        init[start] = 1.0
-        law = transient_distribution(Q2, init, t, tol)
-        worst = max(worst, float(np.max(np.abs(law / denom - 1.0))))
-    return worst
+    # every start evolves at once: column s is the law from pair s
+    laws = transient_distribution(Q2, np.eye(n * n), t, tol)
+    return float(np.max(np.abs(laws / product_weights(weights, 2)[:, None] - 1.0)))

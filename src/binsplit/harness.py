@@ -661,10 +661,7 @@ def _check_f_psi_eigen():
     lam = spectral.spectral_gap(Q, mu2).gap
     rng = simulate.make_rng(17, 0, stream=4)
     # all eigenfunctions at the gap eigenvalue
-    A = -Q.toarray()
-    A = (np.sqrt(mu2)[:, None] * A) / np.sqrt(mu2)[None, :]
-    A = 0.5 * (A + A.T)
-    w, V = np.linalg.eigh(A)
+    w, V = np.linalg.eigh(spectral._symmetrized(Q, mu2))
     worst = 0.0
     for j in np.nonzero(np.abs(w - lam) <= 1e-9 * max(lam, 1.0))[0]:
         psi = duality.TensorFunction(3, 2, V[:, j] / np.sqrt(mu2))
@@ -803,8 +800,7 @@ def _check_multicolored_projection():
     times = (0.3, 0.9, 1.7)
     worst = 0
     for rep in range(20):
-        opts = simulate.SimOptions(t_end=times[-1], record_times=times, seed=43,
-                                   replica_id=rep,
+        opts = simulate.SimOptions(record_times=times, seed=43, replica_id=rep,
                                    coupling_mode="per_particle_bernoulli")
         colored = simulate.simulate_multicolored(graph, weights, xi0, opts)
         plain = simulate.simulate_splitting(graph, weights, xi0, opts)

@@ -67,9 +67,9 @@ def make_rng(seed: int, replica_id: int = 0, stream: int = 0) -> np.random.Gener
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Run length, snapshot times, and stream identity for one trajectory."""
+    """Snapshot times and stream identity for one trajectory; a run ends at
+    its last record time."""
 
-    t_end: float
     record_times: tuple = ()
     seed: int = 0
     replica_id: int = 0
@@ -79,8 +79,8 @@ class SimOptions:
         rec = tuple(float(t) for t in self.record_times)
         if any(b < a for a, b in zip(rec, rec[1:])):
             raise ValueError("record_times must be sorted ascending")
-        if rec and (rec[0] < 0.0 or rec[-1] > self.t_end):
-            raise ValueError("record_times must lie inside [0, t_end]")
+        if rec and rec[0] < 0.0:
+            raise ValueError("record_times must be nonnegative")
         if self.coupling_mode not in COUPLING_MODES:
             raise ValueError(f"coupling_mode must be one of {COUPLING_MODES}")
         object.__setattr__(self, "record_times", rec)

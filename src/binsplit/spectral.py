@@ -171,22 +171,7 @@ def _binom_pmf_table(m: int, p: float) -> np.ndarray:
 def generator_single_particle(graph: WeightedGraph, weights: SiteWeights) -> sp.csr_matrix:
     """Rate matrix of one particle: an edge event at xy re-places a particle
     sitting on either endpoint to x with probability pi(x)/(pi(x)+pi(y))."""
-    pi = weights.pi
-    n = graph.n
-    rows, cols, vals = [], [], []
-    exit_rate = np.zeros(n)
-    for (x, y, c) in graph.edges:
-        p = _edge_split_prob(pi, x, y)
-        # from x: move to y with prob 1-p; from y: move to x with prob p
-        rows += [x, y]
-        cols += [y, x]
-        vals += [c * (1.0 - p), c * p]
-        exit_rate[x] += c * (1.0 - p)
-        exit_rate[y] += c * p
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(-exit_rate)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return _labeled_generator(graph, weights, 1)
 
 
 def split_moves(space: UnlabeledSpace, x: int, y: int, p: float):
@@ -265,6 +250,66 @@ def labeled_states(n: int, k: int):
     return list(itertools.product(range(n), repeat=k))
 
 
+def _labeled_generator(graph: WeightedGraph, weights: SiteWeights, k: int) -> sp.csr_matrix:
+    """Rate matrix of k labeled particles on the row-major position tuples.
+
+    Only the (tuple, edge) pairs with some coordinate on the edge carry
+    rates: the nonzeros of the tuple-vertex occupancy times the vertex-edge
+    incidence, so the work grows with the nonzeros of the result.  Each of
+    the 2^k side patterns (bit j set: coordinate j ends on y) names one
+    outcome of such a pair when its set bits lie on the coordinates on the
+    edge.  Probabilities multiply in coordinate order and the diagonal
+    collects -c (1 - stay) in edge order.
+    """
+    n = graph.n
+    size = n ** k
+    ex, ey, c = graph.edge_x, graph.edge_y, graph.edge_c
+    pi = weights.pi
+    p = pi[ex] / (pi[ex] + pi[ey])
+    tuples = np.indices((n,) * k).reshape(k, size).T
+    strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    occupancy = sp.csr_matrix((np.ones(size * k), tuples.reshape(-1), np.arange(size + 1) * k),
+                              shape=(size, n))
+    incidence = sp.csr_matrix((np.ones(2 * ex.size), (np.concatenate([ex, ey]),
+                                                      np.tile(np.arange(ex.size), 2))),
+                              shape=(n, ex.size))
+    touched = occupancy @ incidence
+    touched.sort_indices()  # edges ascending per tuple: the diagonal sums in edge order
+    pair_state = np.repeat(np.arange(size), np.diff(touched.indptr))
+    e = touched.indices
+    xs = tuples[pair_state]
+    on_x = xs == ex[e][:, None]
+    on_y = xs == ey[e][:, None]
+    active = on_x | on_y
+    pe, ce = p[e], c[e]
+    qe = 1.0 - pe
+
+    def side_product(rows, to_y):
+        out = np.ones(rows.size)
+        for j in range(k):
+            out *= np.where(active[rows, j], np.where(to_y[:, j], qe[rows], pe[rows]), 1.0)
+        return out
+
+    bit = 1 << np.arange(k)
+    active_bits = active @ bit
+    current_bits = on_y @ bit
+    diag = np.zeros(size)
+    np.subtract.at(diag, pair_state, ce * (1.0 - side_product(np.arange(e.size), on_y)))
+    rows, cols, vals = [np.arange(size)], [np.arange(size)], [diag]
+    for pattern in range(1 << k):
+        sel = np.nonzero(((active_bits & pattern) == pattern) & (current_bits != pattern))[0]
+        to_y = np.broadcast_to((pattern & bit) > 0, (sel.size, k))
+        dest = np.where(to_y, ey[e[sel]][:, None], ex[e[sel]][:, None])
+        move = np.where(active[sel], dest - xs[sel], 0) @ strides
+        rows.append(pair_state[sel])
+        cols.append(pair_state[sel] + move)
+        vals.append(ce[sel] * side_product(sel, to_y))
+    Q = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(size, size))
+    Q.sum_duplicates()
+    return Q
+
+
 def generator_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, k: int,
                                 cap: int = DEFAULT_TRANSIENT_CAP) -> sp.csr_matrix:
     """Rate matrix of the labeled k-particle dynamics on position tuples.
@@ -276,41 +321,7 @@ def generator_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, k: i
     size = graph.n ** k
     if size > cap:
         raise StateSpaceCapError(f"labeled space has {size} states, above the cap of {cap}")
-    pi = weights.pi
-    n = graph.n
-    strides = np.array([n ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-    states = labeled_states(n, k)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(size)
-    for (x, y, c) in graph.edges:
-        p = _edge_split_prob(pi, x, y)
-        for i, xs in enumerate(states):
-            active = [j for j, v in enumerate(xs) if v == x or v == y]
-            s = len(active)
-            if s == 0:
-                continue
-            stay = 1.0
-            for j in active:
-                stay *= p if xs[j] == x else (1.0 - p)
-            diag[i] -= c * (1.0 - stay)
-            base = i - int(sum(strides[j] * xs[j] for j in active))
-            for outcome in itertools.product((x, y), repeat=s):
-                if all(outcome[t] == xs[active[t]] for t in range(s)):
-                    continue
-                prob = 1.0
-                tgt = base
-                for t, pos in enumerate(outcome):
-                    prob *= p if pos == x else (1.0 - p)
-                    tgt += int(strides[active[t]]) * pos
-                rows.append(i)
-                cols.append(tgt)
-                vals.append(c * prob)
-    rows += list(range(size))
-    cols += list(range(size))
-    vals += list(diag)
-    Q = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    Q.sum_duplicates()
-    return Q
+    return _labeled_generator(graph, weights, k)
 
 
 def generator_independent_pair(graph: WeightedGraph, weights: SiteWeights) -> sp.csr_matrix:
@@ -321,11 +332,10 @@ def generator_independent_pair(graph: WeightedGraph, weights: SiteWeights) -> sp
 
 
 def product_weights(weights: SiteWeights, k: int = 2) -> np.ndarray:
-    """Flattened k-fold product of the site-weights, row-major."""
-    pi = weights.pi
-    out = pi
-    for _ in range(k - 1):
-        out = np.multiply.outer(out, pi)
+    """Flattened k-fold product of the site-weights, row-major (length n^k)."""
+    out = np.ones(())
+    for _ in range(k):
+        out = np.multiply.outer(out, weights.pi)
     return out.reshape(-1)
 
 
@@ -368,6 +378,14 @@ def _tie_break_eigenfunction(vecs: np.ndarray, sqrt_mu: np.ndarray, mu: np.ndarr
     return best
 
 
+def _symmetrized(Q, mu: np.ndarray) -> np.ndarray:
+    """Dense D^(1/2) (-Q) D^(-1/2), D = diag(mu), averaged with its transpose;
+    the eigenvalues are those of -Q when Q is reversible w.r.t. mu."""
+    sqrt_mu = np.sqrt(mu)
+    A = (sqrt_mu[:, None] * -sp.csr_matrix(Q).toarray()) / sqrt_mu[None, :]
+    return 0.5 * (A + A.T)
+
+
 def spectral_gap(Q, mu: np.ndarray, dense_cutoff: int = DENSE_EIG_CUTOFF,
                  reversibility_tol: float = 1e-8) -> Spectrum:
     """Spectrum of -Q for a chain reversible with respect to mu.
@@ -375,20 +393,19 @@ def spectral_gap(Q, mu: np.ndarray, dense_cutoff: int = DENSE_EIG_CUTOFF,
     Symmetrizes with D^(1/2) (-Q) D^(-1/2), D = diag(mu), then solves the
     symmetric eigenproblem (dense below ``dense_cutoff``, shift-invert
     Lanczos above).  Rejects non-reversible input, reporting the residual.
+    Every tolerance is relative to max|Q| or to the largest computed
+    eigenvalue, so rescaling all rates rescales the result.
     """
     mu = np.asarray(mu, dtype=float)
     dim = mu.size
     res = reversibility_residual(Q, mu)
-    scale = max(1.0, float(abs(sp.csr_matrix(Q)).max()))
+    scale = float(abs(sp.csr_matrix(Q)).max())
     if res > reversibility_tol * scale:
         raise ValueError(f"rate matrix is not reversible w.r.t. mu: "
                          f"max detailed-balance residual {res:.3e}")
     sqrt_mu = np.sqrt(mu)
     if dim <= dense_cutoff:
-        A = -np.asarray(sp.csr_matrix(Q).todense())
-        A = (sqrt_mu[:, None] * A) / sqrt_mu[None, :]
-        A = 0.5 * (A + A.T)
-        evals, evecs = eigh(A)
+        evals, evecs = eigh(_symmetrized(Q, mu))
         full = True
     else:
         Qc = sp.csr_matrix(Q)
@@ -399,7 +416,7 @@ def spectral_gap(Q, mu: np.ndarray, dense_cutoff: int = DENSE_EIG_CUTOFF,
         kk = min(8, dim - 1)
         # shift slightly below the spectrum: 0 is always an eigenvalue, so a
         # factorization exactly at 0 would hit a singular matrix
-        sigma = -1e-6 * max(1.0, scale)
+        sigma = -1e-6 * scale
         # a fixed start vector keeps the result bit-reproducible; it must not
         # be sqrt_mu, the null vector of A
         v0 = np.random.default_rng(EIGSH_START_SEED).standard_normal(dim)
@@ -408,12 +425,12 @@ def spectral_gap(Q, mu: np.ndarray, dense_cutoff: int = DENSE_EIG_CUTOFF,
         evals, evecs = evals[order], evecs[:, order]
         full = False
     lam_max = float(evals[-1]) if evals.size else 0.0
-    zero_tol = max(1e-10, 1e-12 * max(lam_max, 1.0) * dim)
+    zero_tol = 1e-12 * lam_max * dim
     positive = evals[evals > zero_tol]
     if positive.size == 0:
         raise ValueError("no positive eigenvalue found; is the chain connected?")
     gap = float(positive[0])
-    in_gap = np.nonzero(np.abs(evals - gap) <= 1e-9 * max(gap, 1.0))[0]
+    in_gap = np.nonzero(np.abs(evals - gap) <= 1e-9 * lam_max)[0]
     psi = _tie_break_eigenfunction(evecs[:, in_gap], sqrt_mu, mu)
     clean = np.maximum(evals, 0.0)
     clean[np.abs(evals) <= zero_tol] = 0.0

@@ -265,7 +265,7 @@ def test_c13_multicolored_coupling():
     times = (0.4, 1.0, 2.0)
     # pathwise: the color-blind sum reproduces the uncolored run exactly
     for rep in range(1000):
-        opts = SimOptions(t_end=times[-1], record_times=times, seed=1313,
+        opts = SimOptions(record_times=times, seed=1313,
                           replica_id=rep, coupling_mode="per_particle_bernoulli")
         colored = simulate_multicolored(graph, weights, xi0, opts)
         plain = simulate_splitting(graph, weights, xi0, opts)
@@ -278,11 +278,11 @@ def test_c13_multicolored_coupling():
     col_counts = np.zeros(space2.size)
     dir_counts = np.zeros(space2.size)
     for rep in range(reps):
-        opts = SimOptions(t_end=t, record_times=(t,), seed=77, replica_id=rep,
+        opts = SimOptions(record_times=(t,), seed=77, replica_id=rep,
                           coupling_mode="per_particle_bernoulli")
         col = simulate_multicolored(graph, weights, xi0, opts)[0]
         col_counts[space2.index_of(col[0])] += 1
-        opts2 = SimOptions(t_end=t, record_times=(t,), seed=78, replica_id=rep,
+        opts2 = SimOptions(record_times=(t,), seed=78, replica_id=rep,
                            coupling_mode="per_particle_bernoulli")
         xi_t = simulate_splitting(graph, weights, np.array([2, 0, 0]), opts2)[0]
         dir_counts[space2.index_of(xi_t)] += 1

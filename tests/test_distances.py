@@ -184,7 +184,7 @@ def test_l2_decomposition_matches_monte_carlo():
     replicas = 3000
     # compare squared-norm means through the raw samples of each replica
     from binsplit.simulate import SimOptions, simulate_averaging_batch
-    opts = SimOptions(t_end=t, record_times=(t,), seed=33)
+    opts = SimOptions(record_times=(t,), seed=33)
     sq, _ = simulate_averaging_batch(
         g, w, eta, opts, replicas,
         observe=lambda block: transport_norm(block, w, 2.0) ** 2)
@@ -231,19 +231,6 @@ def test_heat_kernel_max_profile_monotone():
     prof = heat_kernel_max_profile(g, w, ts)
     assert np.all(np.diff(prof) < 0)
     assert prof[0] <= 16.0 + 1e-9  # bounded by 1/min(pi)
-
-
-def test_distance_csv_roundtrip(tmp_path):
-    from binsplit.distances import read_distance_csv, write_distance_csv
-    rows = [(0.5, 0.25, 0.9, 0.0, "exact_tv"),
-            (1.0, 0.5, 0.41231, 0.003, "wasserstein"),
-            (1.0, 0.5, 0.39, 0.0, "lower")]
-    p = tmp_path / "profile.csv"
-    write_distance_csv(p, rows)
-    assert p.read_text().splitlines()[0] == "t,t_over_trel,value,stderr,kind"
-    assert read_distance_csv(p) == rows
-    with pytest.raises(ValueError):
-        write_distance_csv(tmp_path / "bad.csv", [(0.0, 0.0, 0.0, 0.0, "mystery")])
 
 
 def test_tv_profile_cap_advises_bound_mode():

@@ -259,7 +259,7 @@ def test_time_level_duality_monte_carlo():
     replicas = 4000
     vals = np.empty(replicas)
     for r in range(replicas):
-        opts = SimOptions(t_end=t, record_times=(t,), seed=271, replica_id=r)
+        opts = SimOptions(record_times=(t,), seed=271, replica_id=r)
         eta_t = simulate_averaging(g, w, eta0, opts)[0]
         vals[r] = moment_duality(xs, eta_t, w)
     stderr = vals.std(ddof=1) / math.sqrt(replicas)

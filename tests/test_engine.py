@@ -1,6 +1,8 @@
 """The vectorized exact engine against its per-state reference: configuration
-ranking, generator assembly, and block evolution of several starts."""
+ranking, generator assembly (unlabeled and labeled), and block evolution of
+several starts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +11,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsplit.distances import tv_profile_exact
+from binsplit.distances import pair_kernel_max_dev, tv_profile_exact
 from binsplit.duality import edge_redistribution_average
-from binsplit.graphs import cycle_graph, path_graph, site_weights, torus_graph
+from binsplit.graphs import (complete_graph, cycle_graph, path_graph, site_weights,
+                             torus_graph, uniform_weights)
 from binsplit.spectral import (_binom_pmf_table, _edge_split_prob, enumerate_configs,
-                               evolve_observable, generator_splitting, split_moves,
+                               evolve_observable, generator_single_particle,
+                               generator_splitting, generator_splitting_labeled,
+                               labeled_states, product_weights, split_moves,
                                transient_distribution)
 
 
@@ -58,6 +63,71 @@ def generator_splitting_loop(graph, weights, k, space):
     return Q
 
 
+def generator_splitting_labeled_loop(graph, weights, k):
+    """Per-tuple reference assembly: a Python loop over edges, position tuples
+    and the side outcomes of the particles on the edge."""
+    size = graph.n ** k
+    pi = weights.pi
+    n = graph.n
+    strides = np.array([n ** (k - 1 - i) for i in range(k)], dtype=np.int64)
+    states = labeled_states(n, k)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(size)
+    for (x, y, c) in graph.edges:
+        p = _edge_split_prob(pi, x, y)
+        for i, xs in enumerate(states):
+            active = [j for j, v in enumerate(xs) if v == x or v == y]
+            s = len(active)
+            if s == 0:
+                continue
+            stay = 1.0
+            for j in active:
+                stay *= p if xs[j] == x else (1.0 - p)
+            diag[i] -= c * (1.0 - stay)
+            base = i - int(sum(strides[j] * xs[j] for j in active))
+            for outcome in itertools.product((x, y), repeat=s):
+                if all(outcome[t] == xs[active[t]] for t in range(s)):
+                    continue
+                prob = 1.0
+                tgt = base
+                for t, pos in enumerate(outcome):
+                    prob *= p if pos == x else (1.0 - p)
+                    tgt += int(strides[active[t]]) * pos
+                rows.append(i)
+                cols.append(tgt)
+                vals.append(c * prob)
+    rows += list(range(size))
+    cols += list(range(size))
+    vals += list(diag)
+    Q = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    Q.sum_duplicates()
+    return Q
+
+
+def generator_single_particle_loop(graph, weights):
+    """Per-edge reference: exit rates c (1-p) from x and c p from y."""
+    pi = weights.pi
+    n = graph.n
+    rows, cols, vals = [], [], []
+    exit_rate = np.zeros(n)
+    for (x, y, c) in graph.edges:
+        p = _edge_split_prob(pi, x, y)
+        rows += [x, y]
+        cols += [y, x]
+        vals += [c * (1.0 - p), c * p]
+        exit_rate[x] += c * (1.0 - p)
+        exit_rate[y] += c * p
+    rows += list(range(n))
+    cols += list(range(n))
+    vals += list(-exit_rate)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def assert_same_csr(Q, Q_ref):
+    for a, b in ((Q.data, Q_ref.data), (Q.indices, Q_ref.indices), (Q.indptr, Q_ref.indptr)):
+        assert np.array_equal(a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), k=st.integers(0, 7))
 def test_rank_roundtrip(n, k):
@@ -86,8 +156,48 @@ def test_vectorized_assembly_matches_loop(graph, k):
     Q = generator_splitting(graph, weights, k, space)
     Q_ref = generator_splitting_loop(graph, weights, k, space)
     assert (Q - Q_ref).nnz == 0
-    for a, b in ((Q.data, Q_ref.data), (Q.indices, Q_ref.indices), (Q.indptr, Q_ref.indptr)):
-        assert np.array_equal(a, b)
+    assert_same_csr(Q, Q_ref)
+
+
+LABELED_CASES = ([(path_graph(4), k) for k in range(5)]
+                 + [(cycle_graph(4), k) for k in range(5)]
+                 + [(torus_graph([6, 6]), 2), (complete_graph(64), 1)])
+
+
+@pytest.mark.parametrize("graph, k", LABELED_CASES)
+def test_labeled_assembly_matches_loop(graph, k):
+    rng = np.random.default_rng(graph.n * 10 + k)
+    weights = site_weights(rng.uniform(0.3, 2.0, graph.n))
+    assert_same_csr(generator_splitting_labeled(graph, weights, k),
+                    generator_splitting_labeled_loop(graph, weights, k))
+
+
+@pytest.mark.parametrize("graph", [path_graph(5), cycle_graph(6), torus_graph([3, 4]),
+                                   complete_graph(16)])
+def test_single_particle_is_labeled_k1(graph):
+    rng = np.random.default_rng(graph.n)
+    weights = site_weights(rng.uniform(0.3, 2.0, graph.n))
+    Q = generator_single_particle(graph, weights)
+    assert_same_csr(Q, generator_splitting_labeled(graph, weights, 1))
+    # the diagonal collects c (1 - (1 - p)) where the loop summed c p: a few ulps
+    ref = generator_single_particle_loop(graph, weights)
+    assert np.array_equal(Q.indices, ref.indices) and np.array_equal(Q.indptr, ref.indptr)
+    assert np.all(np.abs(Q.data - ref.data) <= 4 * np.spacing(np.abs(ref.data)))
+    uniform = uniform_weights(graph.n)
+    assert_same_csr(generator_single_particle(graph, uniform),
+                    generator_single_particle_loop(graph, uniform))
+
+
+def test_pair_kernel_block_equals_each_start():
+    graph = path_graph(4)
+    weights = site_weights([0.1, 0.4, 0.2, 0.3])
+    Q2 = generator_splitting_labeled(graph, weights, 2)
+    denom = product_weights(weights, 2)
+    worst = 0.0
+    for start in range(16):
+        law = transient_distribution(Q2, np.eye(16)[start], 0.6, 1e-10)
+        worst = max(worst, float(np.max(np.abs(law / denom - 1.0))))
+    assert pair_kernel_max_dev(graph, weights, 0.6, 1e-10) == worst
 
 
 def test_split_moves_either_orientation():

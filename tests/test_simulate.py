@@ -15,11 +15,11 @@ from binsplit.spectral import generator_single_particle, transient_distribution
 
 def test_sim_options_validation():
     with pytest.raises(ValueError):
-        SimOptions(t_end=1.0, record_times=(0.5, 0.2))
+        SimOptions(record_times=(0.5, 0.2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        SimOptions(record_times=(-0.5, 2.0))
     with pytest.raises(ValueError):
-        SimOptions(t_end=1.0, record_times=(0.5, 2.0))
-    with pytest.raises(ValueError):
-        SimOptions(t_end=1.0, coupling_mode="magic")
+        SimOptions(coupling_mode="magic")
 
 
 def test_splitting_edge_step_chi_square_gof():
@@ -54,8 +54,7 @@ def test_splitting_edge_step_chi_square_gof():
 def _schedule(graph, times, seed, replica_id=0):
     """Per record interval, the x endpoints of one replica's events."""
     events = []
-    opts = SimOptions(t_end=times[-1], record_times=times, seed=seed,
-                      replica_id=replica_id)
+    opts = SimOptions(record_times=times, seed=seed, replica_id=replica_id)
     ends = simulate._run_replica(graph, uniform_weights(graph.n), opts,
                                  lambda x, y, p, rng: events.append(x),
                                  lambda: len(events))
@@ -83,17 +82,17 @@ def test_event_schedule_statistics():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     with pytest.raises(ValueError):
         simulate_averaging(path_graph(1), uniform_weights(1), np.array([1.0]),
-                           SimOptions(t_end=1.0, record_times=(1.0,)))
+                           SimOptions(record_times=(1.0,)))
 
 
 def test_simulate_averaging_basics():
     g = path_graph(2)
     w = site_weights([1 / 3, 2 / 3])
     eta0 = np.array([1.0, 0.0])
-    opts = SimOptions(t_end=0.0, record_times=(0.0,), seed=5)
+    opts = SimOptions(record_times=(0.0,), seed=5)
     assert np.array_equal(simulate_averaging(g, w, eta0, opts)[0], eta0)
     # one edge absorbs after the first update
-    opts2 = SimOptions(t_end=50.0, record_times=(5.0, 20.0, 50.0), seed=5)
+    opts2 = SimOptions(record_times=(5.0, 20.0, 50.0), seed=5)
     states = simulate_averaging(g, w, eta0, opts2)
     for s in states:
         assert np.allclose(s, [1 / 3, 2 / 3], atol=1e-15)
@@ -107,7 +106,7 @@ def test_simulate_averaging_descent_and_convergence():
     eta0[0] = 1.0
     grid = tuple(np.linspace(0.2, 30 * t_rel, 60))
     for rep in range(100):
-        opts = SimOptions(t_end=grid[-1], record_times=grid, seed=6, replica_id=rep)
+        opts = SimOptions(record_times=grid, seed=6, replica_id=rep)
         states = simulate_averaging(g, w, eta0, opts)
         norms = [transport_norm(s, w, 2.0) for s in states]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -119,7 +118,7 @@ def test_averaging_batch_rows_are_replicas():
     w = site_weights([0.1, 0.2, 0.1, 0.25, 0.15, 0.2])
     eta0 = np.array([0.5, 0.5, 0, 0, 0, 0])
     times = (0.0, 0.4, 1.3, 2.0)
-    opts = SimOptions(t_end=2.0, record_times=times, seed=16)
+    opts = SimOptions(record_times=times, seed=16)
     batch, drift = simulate_averaging_batch(g, w, eta0, opts, 40)
     assert batch.shape == (40, len(times), 6) and drift == 0
     # the first R replicas of a 2R batch equal the R batch, bit for bit
@@ -127,7 +126,7 @@ def test_averaging_batch_rows_are_replicas():
     assert np.array_equal(batch[:20], half)
     # simulate_averaging for replica r equals row r of the batch
     for r in (0, 7, 39):
-        one = simulate_averaging(g, w, eta0, SimOptions(t_end=2.0, record_times=times,
+        one = simulate_averaging(g, w, eta0, SimOptions(record_times=times,
                                                         seed=16, replica_id=r))
         assert np.array_equal(np.array(one), batch[r])
     # observed values are the observable of the states, row by row
@@ -144,7 +143,7 @@ def test_averaging_batch_grouping_invariant(monkeypatch):
     g = cycle_graph(5)
     w = uniform_weights(5)
     eta0 = np.array([1.0, 0, 0, 0, 0])
-    opts = SimOptions(t_end=30.0, record_times=(0.5, 30.0), seed=17)
+    opts = SimOptions(record_times=(0.5, 30.0), seed=17)
     ref, _ = simulate_averaging_batch(g, w, eta0, opts, 30)
     monkeypatch.setattr(simulate, "GROUP_BYTES", 1)
     monkeypatch.setattr(simulate, "MAX_HELD_MARKS", 7)
@@ -157,11 +156,11 @@ def test_drift_guard_rescales_off_mass_once():
     g = cycle_graph(4)
     w = uniform_weights(4)
     times = (0.5, 2.0, 6.0)
-    opts = SimOptions(t_end=6.0, record_times=times, seed=18)
+    opts = SimOptions(record_times=times, seed=18)
     for eta0, rescales in ((np.array([1.0 + 1e-11, 0, 0, 0]), 1),
                            (np.array([1.0, 0, 0, 0]), 0)):
         for r in range(5):
-            one = SimOptions(t_end=6.0, record_times=times, seed=18, replica_id=r)
+            one = SimOptions(record_times=times, seed=18, replica_id=r)
             states, drift = simulate_averaging(g, w, eta0, one, return_drift=True)
             assert drift == rescales
             assert abs(states[-1].sum() - 1.0) <= 1e-12
@@ -173,7 +172,7 @@ def test_drift_guard_rescales_off_mass_once():
 def test_simulate_splitting_conservation_and_stationary_law():
     g = path_graph(2)
     w = site_weights([0.3, 0.7])
-    opts_tpl = dict(t_end=20.0, record_times=(20.0,), seed=7)
+    opts_tpl = dict(record_times=(20.0,), seed=7)
     counts = np.zeros(11)
     for rep in range(10 ** 5):
         xi_t = simulate_splitting(g, w, np.array([4, 6]),
@@ -191,7 +190,7 @@ def test_simulate_splitting_matches_transient_law():
     t = 1.3
     counts = np.zeros(4)
     for rep in range(10 ** 5):
-        opts = SimOptions(t_end=t, record_times=(t,), seed=8, replica_id=rep)
+        opts = SimOptions(record_times=(t,), seed=8, replica_id=rep)
         xi_t = simulate_splitting(g, w, np.array([1, 0, 0, 0]), opts)[0]
         counts[int(np.nonzero(xi_t)[0][0])] += 1
     Q = generator_single_particle(g, w)
@@ -204,7 +203,7 @@ def test_labeled_k1_pathwise_equals_unlabeled_per_particle():
     w = site_weights([0.1, 0.2, 0.3, 0.4])
     times = tuple(np.linspace(0.3, 4.0, 8))
     for rep in range(50):
-        opts = SimOptions(t_end=times[-1], record_times=times, seed=10,
+        opts = SimOptions(record_times=times, seed=10,
                           replica_id=rep, coupling_mode="per_particle_bernoulli")
         lab = simulate_splitting_labeled(g, w, (2,), opts)
         unl = simulate_splitting(g, w, np.array([0, 0, 1, 0]), opts)
@@ -220,7 +219,7 @@ def test_labeled_exchangeability_pathwise():
     xs0 = (0, 0, 1, 2)
     xs0_perm = tuple(xs0[j] for j in perm)
     for rep in range(40):
-        opts = SimOptions(t_end=times[-1], record_times=times, seed=11, replica_id=rep)
+        opts = SimOptions(record_times=times, seed=11, replica_id=rep)
         a = simulate_splitting_labeled(g, w, xs0, opts)
         b = simulate_splitting_labeled(g, w, xs0_perm, opts)
         for u, v in zip(a, b):
@@ -231,8 +230,7 @@ def test_labeled_exchangeability_pathwise():
 def test_multicolored_requires_coupled_mode():
     g = path_graph(3)
     w = uniform_weights(3)
-    opts = SimOptions(t_end=1.0, record_times=(1.0,), seed=12,
-                      coupling_mode="fast_binomial")
+    opts = SimOptions(record_times=(1.0,), seed=12, coupling_mode="fast_binomial")
     with pytest.raises(ValueError, match="per_particle_bernoulli"):
         simulate_multicolored(g, w, np.array([2, 1, 0]), opts)
 
@@ -243,7 +241,7 @@ def test_multicolored_projection_and_totals():
     xi0 = np.array([3, 0, 2])
     times = (0.2, 0.7, 1.5, 3.0)
     for rep in range(200):
-        opts = SimOptions(t_end=times[-1], record_times=times, seed=13,
+        opts = SimOptions(record_times=times, seed=13,
                           replica_id=rep, coupling_mode="per_particle_bernoulli")
         colored = simulate_multicolored(g, w, xi0, opts)
         plain = simulate_splitting(g, w, xi0, opts)
@@ -256,11 +254,11 @@ def test_determinism_and_stream_independence():
     g = cycle_graph(5)
     w = uniform_weights(5)
     times = (0.5, 1.5)
-    opts = SimOptions(t_end=1.5, record_times=times, seed=14, replica_id=2)
+    opts = SimOptions(record_times=times, seed=14, replica_id=2)
     a = simulate_splitting(g, w, np.array([2, 1, 0, 0, 0]), opts)
     b = simulate_splitting(g, w, np.array([2, 1, 0, 0, 0]), opts)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    other = SimOptions(t_end=1.5, record_times=times, seed=14, replica_id=3)
+    other = SimOptions(record_times=times, seed=14, replica_id=3)
     c = simulate_splitting(g, w, np.array([2, 1, 0, 0, 0]), other)
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
@@ -271,7 +269,7 @@ def test_trajectory_dump_layout(tmp_path):
     times = (0.5, 1.0)
     results = {}
     for rep in range(3):
-        opts = SimOptions(t_end=1.0, record_times=times, seed=15, replica_id=rep)
+        opts = SimOptions(record_times=times, seed=15, replica_id=rep)
         results[rep] = simulate_averaging(g, w, np.array([1.0, 0, 0]), opts)
     path = tmp_path / "traj.csv"
     dump_trajectories_csv(path, results, times, "avg")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from binsplit.graphs import (complete_graph, cycle_graph, path_graph,
+from binsplit.graphs import (WeightedGraph, complete_graph, cycle_graph, path_graph,
                              site_weights, uniform_weights)
 from binsplit import duality
 from binsplit.spectral import (StateSpaceCapError, dirichlet_defect_form,
@@ -265,6 +265,21 @@ def test_sparse_eigsh_path_reproducible():
     assert first.gap == second.gap
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.psi, second.psi)
+
+
+@pytest.mark.parametrize("dense_cutoff", [4096, 8])
+def test_spectral_gap_covariant_under_rate_scaling(dense_cutoff):
+    # no absolute floor: a time unit 1e11 times longer rescales the gap and
+    # nothing else, on the dense and on the shift-invert path alike
+    w = uniform_weights(64)
+    ratios = []
+    for c in (1.0, 1e-6, 1e-9, 1e-11):
+        g = WeightedGraph(64, tuple((i, i + 1, c) for i in range(63)))
+        ratios.append(spectral_gap(generator_single_particle(g, w), w.pi,
+                                   dense_cutoff=dense_cutoff).gap / c)
+    # each edge carries a particle across at rate c/2: gap = c (1 - cos(pi/64))
+    assert ratios[0] == pytest.approx(1.0 - math.cos(math.pi / 64), rel=1e-9)
+    assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
