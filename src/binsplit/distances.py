@@ -116,7 +116,7 @@ def heat_kernel_max_profile(graph: WeightedGraph, weights: SiteWeights,
                             times) -> np.ndarray:
     """max_{x,y} h_t^x(y) on a time grid, via the exact eigendecomposition."""
     pi = weights.pi
-    lam, U = eigh(_symmetrized(generator_single_particle(graph, weights), pi))
+    lam, U = eigh(_symmetrized(generator_single_particle(graph, weights), pi).toarray())
     sq = np.sqrt(pi)
     out = np.empty(len(times))
     denom = np.outer(sq, sq)
@@ -225,8 +225,12 @@ def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
         law = semigroup.evolve(law, t - t_prev, step_tol, measure=True)
         t_prev = t
         # contiguous copies: a strided column sums in a different order
-        tv = np.array([tv_distance(col / col.sum(), mu)
-                       for col in np.ascontiguousarray(law.T)])
+        cols = np.ascontiguousarray(law.T)
+        mass = np.array([col.sum() for col in cols])
+        defect = float(np.abs(mass - 1.0).max())
+        if defect > 2 * tol:
+            raise ValueError(f"mass defect {defect:.3e} at t={t:g} exceeds 2 tol = {2 * tol:.3e}")
+        tv = np.array([tv_distance(col / m, mu) for col, m in zip(cols, mass)])
         out.append((t, float(tv[0]) if single else tv))
     return out
 

@@ -661,9 +661,9 @@ def _check_f_psi_eigen():
     lam = spectral.spectral_gap(Q, mu2).gap
     rng = simulate.make_rng(17, 0, stream=4)
     # all eigenfunctions at the gap eigenvalue
-    w, V = np.linalg.eigh(spectral._symmetrized(Q, mu2))
+    w, V = np.linalg.eigh(spectral._symmetrized(Q, mu2).toarray())
     worst = 0.0
-    for j in np.nonzero(np.abs(w - lam) <= 1e-9 * max(lam, 1.0))[0]:
+    for j in np.nonzero(np.abs(w - lam) <= 1e-9 * w[-1])[0]:
         psi = duality.TensorFunction(3, 2, V[:, j] / np.sqrt(mu2))
         for _ in range(10):
             eta = rng.dirichlet(np.ones(3))

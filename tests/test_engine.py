@@ -15,11 +15,11 @@ from binsplit.distances import pair_kernel_max_dev, tv_profile_exact
 from binsplit.duality import edge_redistribution_average
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph, site_weights,
                              torus_graph, uniform_weights)
-from binsplit.spectral import (_binom_pmf_table, _edge_split_prob, enumerate_configs,
-                               evolve_observable, generator_single_particle,
-                               generator_splitting, generator_splitting_labeled,
-                               labeled_states, product_weights, split_moves,
-                               transient_distribution)
+from binsplit.spectral import (_Uniformization, _binom_pmf_table, _edge_split_prob,
+                               enumerate_configs, evolve_observable,
+                               generator_single_particle, generator_splitting,
+                               generator_splitting_labeled, labeled_states,
+                               product_weights, split_moves, transient_distribution)
 
 
 def generator_splitting_loop(graph, weights, k, space):
@@ -271,3 +271,20 @@ def test_tv_profile_exact_rejects_bad_arguments():
                       np.zeros((1, 2, 3), dtype=int)):
         with pytest.raises(ValueError):
             tv_profile_exact(graph, weights, 2, bad_start, times, 1e-9, space)
+
+
+def test_tv_profile_exact_reports_mass_defect(monkeypatch):
+    # lost mass beyond 2 tol is reported, not renormalized away
+    graph = cycle_graph(3)
+    weights = site_weights([0.2, 0.3, 0.5])
+    space = enumerate_configs(3, 2)
+    evolve = _Uniformization.evolve
+    for leak, raises in ((0.5e-9, False), (3e-9, True)):
+        monkeypatch.setattr(_Uniformization, "evolve",
+                            lambda self, *args, leak=leak, **kwargs:
+                            evolve(self, *args, **kwargs) * (1.0 - leak))
+        if raises:
+            with pytest.raises(ValueError, match="mass defect"):
+                tv_profile_exact(graph, weights, 2, (2, 0, 0), [0.5], 1e-9, space)
+        else:
+            tv_profile_exact(graph, weights, 2, (2, 0, 0), [0.5], 1e-9, space)

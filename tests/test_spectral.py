@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from binsplit.graphs import (WeightedGraph, complete_graph, cycle_graph, path_graph,
-                             site_weights, uniform_weights)
-from binsplit import duality
+                             site_weights, torus_graph, uniform_weights)
+from binsplit import duality, spectral
 from binsplit.spectral import (StateSpaceCapError, dirichlet_defect_form,
                                dirichlet_form, dirichlet_independent_pair,
                                dirichlet_single_particle, dump_rate_matrix,
@@ -267,19 +267,73 @@ def test_sparse_eigsh_path_reproducible():
     assert np.array_equal(first.psi, second.psi)
 
 
-@pytest.mark.parametrize("dense_cutoff", [4096, 8])
-def test_spectral_gap_covariant_under_rate_scaling(dense_cutoff):
-    # no absolute floor: a time unit 1e11 times longer rescales the gap and
-    # nothing else, on the dense and on the shift-invert path alike
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Record each sparse eigensolve: True for shift-invert, False for Lanczos."""
+    calls = []
+    solve = spectral.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append("sigma" in kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("dense_cutoff, restarts, routes", [
+    pytest.param(4096, None, [], id="4096"),
+    pytest.param(8, None, [False], id="8"),
+    pytest.param(8, 1, [False, True], id="8-fallback"),
+])
+def test_spectral_gap_covariant_under_rate_scaling(dense_cutoff, restarts, routes,
+                                                    eigsh_calls, monkeypatch):
+    # no absolute floor: a time unit up to 1e30 times longer rescales the gap
+    # and nothing else, on the dense, the Lanczos and the shift-invert route
+    # alike; at 1e-30 a Lanczos solve not in unit scale stops at ARPACK's
+    # absolute convergence floor on a wrong eigenvalue
+    if restarts is not None:
+        # one restart is too few for Lanczos here, so the fallback runs
+        monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", restarts)
     w = uniform_weights(64)
     ratios = []
-    for c in (1.0, 1e-6, 1e-9, 1e-11):
+    for c in (1.0, 1e-6, 1e-9, 1e-11, 1e-30):
         g = WeightedGraph(64, tuple((i, i + 1, c) for i in range(63)))
+        eigsh_calls.clear()
         ratios.append(spectral_gap(generator_single_particle(g, w), w.pi,
                                    dense_cutoff=dense_cutoff).gap / c)
+        assert eigsh_calls == routes
     # each edge carries a particle across at rate c/2: gap = c (1 - cos(pi/64))
     assert ratios[0] == pytest.approx(1.0 - math.cos(math.pi / 64), rel=1e-9)
-    assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-9)
+    assert ratios == pytest.approx([ratios[0]] * 5, rel=1e-9)
+
+
+@pytest.mark.parametrize("graph, k", [(torus_graph((3, 3)), 5), (cycle_graph(12), 4)],
+                         ids=["torus3x3-k5", "cycle12-k4"])
+def test_lanczos_route_matches_dense(graph, k, eigsh_calls):
+    # 1,287 and 1,365 states: above the dense cutoff, so Lanczos solves them
+    w = uniform_weights(graph.n)
+    space = enumerate_configs(graph.n, k)
+    Q = generator_splitting(graph, w, k, space)
+    mu = multinomial_measure(w, k, space)
+    lanczos = spectral_gap(Q, mu)
+    assert eigsh_calls == [False] and not lanczos.full
+    dense = spectral_gap(Q, mu, dense_cutoff=5000)
+    assert dense.full
+    assert lanczos.gap == pytest.approx(dense.gap, rel=1e-12)
+
+
+def test_shift_invert_fallback_route(eigsh_calls):
+    # the cycle-1024 gap is tiny against the width of its spectrum: Lanczos
+    # runs out of restarts and shift-invert solves it
+    g = cycle_graph(1024)
+    w = uniform_weights(1024)
+    Q = generator_single_particle(g, w)
+    spec = spectral_gap(Q, w.pi, dense_cutoff=8)
+    assert eigsh_calls == [False, True] and not spec.full
+    dense = spectral_gap(Q, w.pi, dense_cutoff=5000)
+    assert dense.full
+    assert spec.gap == pytest.approx(dense.gap, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
