@@ -188,11 +188,14 @@ def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
                      space: UnlabeledSpace | None = None,
                      cap: int = None):
     """Exact TV to the multinomial equilibrium at each time, from a fixed
-    starting configuration, by incremental uniformized evolution.
+    starting configuration, by uniformization.
 
     ``xi0`` is one configuration, giving (t, tv) pairs, or an (S, n) array
     of S starts, giving (t, array of S values) pairs.  The generator is built
-    once and all starts evolve together as the columns of one block.
+    once and all starts evolve together as the columns of one block.  Every
+    time is summed from one sequence of powers of the uniformized chain, with
+    its own Poisson tail below ``tol / len(times)``; a lost mass above 2 tol
+    is an error, and the laws are not renormalized.
     """
     if space is None:
         space = enumerate_configs(graph.n, k)
@@ -201,14 +204,6 @@ def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
         raise StateSpaceCapError(
             f"occupation space has {space.size} states, above the transient cap "
             f"of {cap}; use the bound-based profile (upper/lower bracket) instead")
-    times = [float(t) for t in times]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be sorted ascending")
-    if times and times[0] < 0:
-        raise ValueError("time must be nonnegative")
-    step_tol = tol / max(1, len(times))
-    if times and not (0 < step_tol <= 1e-6):
-        raise ValueError("tol per time step must lie in (0, 1e-6]")
     starts = np.asarray(xi0)
     if starts.ndim not in (1, 2) or starts.shape[-1] != space.n:
         raise ValueError(f"need one start or an (S, {space.n}) array of starts, "
@@ -219,18 +214,17 @@ def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
     law[space.rank(starts), np.arange(starts.shape[0])] = 1.0
     semigroup = _Uniformization(generator_splitting(graph, weights, k, space))
     mu = multinomial_measure(weights, k, space)
+    times = [float(t) for t in times]
+    laws = semigroup.evolve(law, times, tol / max(1, len(times)), measure=True)
     out = []
-    t_prev = 0.0
-    for t in times:
-        law = semigroup.evolve(law, t - t_prev, step_tol, measure=True)
-        t_prev = t
+    for t, law in zip(times, laws):
         # contiguous copies: a strided column sums in a different order
         cols = np.ascontiguousarray(law.T)
         mass = np.array([col.sum() for col in cols])
         defect = float(np.abs(mass - 1.0).max())
         if defect > 2 * tol:
             raise ValueError(f"mass defect {defect:.3e} at t={t:g} exceeds 2 tol = {2 * tol:.3e}")
-        tv = np.array([tv_distance(col / m, mu) for col, m in zip(cols, mass)])
+        tv = np.array([0.5 * np.abs(col - mu).sum() for col in cols])
         out.append((t, float(tv[0]) if single else tv))
     return out
 
@@ -433,17 +427,13 @@ def l2_sq_exact(graph: WeightedGraph, weights: SiteWeights, eta, t: float,
 
 def _pair_diagonal_kernels(graph: WeightedGraph, weights: SiteWeights, times,
                            tol: float):
-    """M_t for each t, with the two-particle generator and its uniformization
-    built once for all times."""
+    """M_t for each t, stacked: the two-particle generator is built once and
+    every time is summed from one sequence of powers, each with its own
+    Poisson tail below ``tol``."""
     n = graph.n
     semigroup = _Uniformization(generator_splitting_labeled(graph, weights, 2))
     g0 = np.diag(1.0 / weights.pi).reshape(-1)
-    out = []
-    for t in times:
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        out.append(semigroup.evolve(g0, t, tol, measure=False).reshape(n, n))
-    return out
+    return semigroup.evolve(g0, times, tol, measure=False).reshape(-1, n, n)
 
 
 def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t,

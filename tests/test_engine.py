@@ -4,6 +4,9 @@ several starts."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,12 +14,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsplit.distances import pair_kernel_max_dev, tv_profile_exact
+from binsplit import spectral
+from binsplit.distances import (pair_kernel_max_dev, single_particle_spectrum,
+                                tv_profile_exact, worst_l2_sq)
 from binsplit.duality import edge_redistribution_average
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph, site_weights,
                              torus_graph, uniform_weights)
 from binsplit.spectral import (_Uniformization, _binom_pmf_table, _edge_split_prob,
-                               enumerate_configs, evolve_observable,
+                               _poisson_terms, enumerate_configs, evolve_observable,
                                generator_single_particle, generator_splitting,
                                generator_splitting_labeled, labeled_states,
                                product_weights, split_moves, transient_distribution)
@@ -128,10 +133,19 @@ def assert_same_csr(Q, Q_ref):
         assert np.array_equal(a, b)
 
 
+def enumerate_configs_reference(n, k):
+    """Heaviest-first occupation vectors from itertools: the multisets of k
+    vertices in lexicographic order, as occupation counts."""
+    multisets = itertools.combinations_with_replacement(range(n), k)
+    return np.array([np.bincount(np.array(c, dtype=np.int64), minlength=n)
+                     for c in multisets]).reshape(-1, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), k=st.integers(0, 7))
 def test_rank_roundtrip(n, k):
     space = enumerate_configs(n, k)
+    assert np.array_equal(space.configs, enumerate_configs_reference(n, k))
     assert np.array_equal(space.rank(space.configs), np.arange(space.size))
 
 
@@ -288,3 +302,119 @@ def test_tv_profile_exact_reports_mass_defect(monkeypatch):
                 tv_profile_exact(graph, weights, 2, (2, 0, 0), [0.5], 1e-9, space)
         else:
             tv_profile_exact(graph, weights, 2, (2, 0, 0), [0.5], 1e-9, space)
+
+
+def poisson_terms_reference(rate_t, tol):
+    """The Poisson weights through scipy.stats, as the kernel computed them
+    before it dropped that import."""
+    from scipy.stats import poisson
+    if rate_t <= 0.0:
+        return np.array([1.0])
+    m = max(int(poisson.isf(tol, rate_t)), 1)
+    while poisson.sf(m, rate_t) >= tol:
+        m += max(5, m // 10)
+    return poisson.pmf(np.arange(m + 1), rate_t)
+
+
+@pytest.mark.parametrize("rate_t", [0.0, 1e-3, 5e-3, 0.3, 1.0, 7.5, 57.5, 480.0, 5e4])
+def test_poisson_terms_match_scipy_stats(rate_t):
+    for tol in (1e-6, 1e-9, 2.5e-11, 1e-12):
+        w = _poisson_terms(rate_t, tol)
+        ref = poisson_terms_reference(rate_t, tol)
+        assert w.size == ref.size and np.array_equal(w, ref)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, binsplit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def cycle_block():
+    graph = cycle_graph(4)
+    weights = site_weights([0.1, 0.2, 0.3, 0.4])
+    space = enumerate_configs(4, 5)
+    Q = generator_splitting(graph, weights, 5, space)
+    laws = np.random.default_rng(3).dirichlet(np.ones(space.size), size=3).T
+    return Q, laws
+
+
+@pytest.mark.parametrize("measure", [True, False])
+def test_multi_time_evolve_equals_one_time_calls(measure):
+    # one power sequence for every time, against one evolution from 0 per time
+    Q, block = cycle_block()
+    times = [0.0, 0.05, 0.4, 0.4, 1.3, 4.0]
+    tol = 1e-10
+    stacked = _Uniformization(Q).evolve(block, times, tol, measure)
+    assert stacked.shape == (len(times),) + block.shape
+    for t, got in zip(times, stacked):
+        alone = _Uniformization(Q).evolve(block, [t], tol, measure)[0]
+        assert np.max(np.abs(got - alone)) <= tol
+    assert np.array_equal(stacked[0], block)
+
+
+@pytest.mark.parametrize("measure", [True, False])
+def test_evolve_groups_match_one_group(monkeypatch, measure):
+    Q, block = cycle_block()
+    times = np.array([0.1, 0.4, 0.9, 1.3, 2.5, 4.0])
+    tol = 1e-10
+    one = _Uniformization(Q)
+    whole = one.evolve(block, times, tol, measure)
+    # room for three vectors: one power per block and two times per group
+    monkeypatch.setattr(spectral, "EVOLVE_BYTES", 3 * 8 * block.size)
+    split = _Uniformization(Q)
+    grouped = split.evolve(block, times, tol, measure)
+    assert np.max(np.abs(grouped - whole)) <= tol
+    # three legs, each from the end of the one before at tol / 3; at tol
+    # each of these legs would take one term fewer
+    legs = [(0.0, 0.4), (0.4, 1.3), (1.3, 4.0)]
+    assert split.matvecs == sum(_poisson_terms(split.rate * (b - a), tol / 3).size - 1
+                                for a, b in legs)
+    assert one.matvecs == _poisson_terms(one.rate * times[-1], tol).size - 1
+
+
+def test_cutoff_profile_takes_one_power_sequence(monkeypatch):
+    # the exact_cutoff grid at k = 14: one chained step per time took 555 matvecs
+    graph = cycle_graph(5)
+    weights = uniform_weights(5)
+    times = np.linspace(0.05, 8.0, 40) * single_particle_spectrum(graph, weights).t_rel
+    seen = []
+    evolve = _Uniformization.evolve
+    monkeypatch.setattr(_Uniformization, "evolve",
+                        lambda self, *args, **kwargs: (seen.append(self),
+                                                       evolve(self, *args, **kwargs))[1])
+    tv_profile_exact(graph, weights, 14, np.eye(5, dtype=np.int64) * 14, times, 1e-9)
+    [kernel] = seen
+    assert kernel.matvecs == _poisson_terms(kernel.rate * times[-1], 1e-9 / 40).size - 1
+
+
+BAD_TIMES = [(math.nan, "nan"), (math.inf, "inf"), (-1.0, "-1.0")]
+BAD_TOLS = [(0.0, r"0\.0"), (-1.0, r"-1\.0"), (0.5, r"0\.5"), (1e-3, r"0\.001")]
+
+
+@pytest.mark.parametrize("entry", ["transient_distribution", "evolve_observable",
+                                   "tv_profile_exact", "worst_l2_sq"])
+def test_entry_point_rejects_bad_time_and_tol(entry):
+    graph = cycle_graph(3)
+    weights = site_weights([0.2, 0.3, 0.5])
+    space = enumerate_configs(3, 2)
+    Q = generator_splitting(graph, weights, 2, space)
+    init = np.eye(space.size)[0]
+    call = {
+        "transient_distribution": lambda t, tol: transient_distribution(Q, init, t, tol),
+        "evolve_observable": lambda t, tol: evolve_observable(Q, init, t, tol),
+        "tv_profile_exact": lambda t, tol: tv_profile_exact(graph, weights, 2, (2, 0, 0),
+                                                            [t], tol, space),
+        "worst_l2_sq": lambda t, tol: worst_l2_sq(graph, weights, t, tol, n_random=2),
+    }[entry]
+    for t, shown in BAD_TIMES:
+        with pytest.raises(ValueError, match=shown):
+            call(t, 1e-9)
+    for tol, shown in BAD_TOLS:
+        with pytest.raises(ValueError, match=f"tol.*{shown}"):
+            call(0.5, tol)
+    call(0.5, 1e-9)
