@@ -195,7 +195,9 @@ def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
     once and all starts evolve together as the columns of one block.  Every
     time is summed from one sequence of powers of the uniformized chain, with
     its own Poisson tail below ``tol / len(times)``; a lost mass above 2 tol
-    is an error, and the laws are not renormalized.
+    is an error, and the laws are not renormalized.  Each law is reduced to
+    its TV values before the next is evolved, so at most one group of laws
+    (``spectral.EVOLVE_BYTES``) is held at once.
     """
     if space is None:
         space = enumerate_configs(graph.n, k)
@@ -215,17 +217,17 @@ def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
     semigroup = _Uniformization(generator_splitting(graph, weights, k, space))
     mu = multinomial_measure(weights, k, space)
     times = [float(t) for t in times]
-    laws = semigroup.evolve(law, times, tol / max(1, len(times)), measure=True)
     out = []
-    for t, law in zip(times, laws):
+    # each law is reduced to its TV values before the next one is evolved
+    for t, law_t in semigroup.evolve_each(law, times, tol / max(1, len(times)), measure=True):
         # contiguous copies: a strided column sums in a different order
-        cols = np.ascontiguousarray(law.T)
+        cols = np.ascontiguousarray(law_t.T)
         mass = np.array([col.sum() for col in cols])
         defect = float(np.abs(mass - 1.0).max())
         if defect > 2 * tol:
             raise ValueError(f"mass defect {defect:.3e} at t={t:g} exceeds 2 tol = {2 * tol:.3e}")
         tv = np.array([0.5 * np.abs(col - mu).sum() for col in cols])
-        out.append((t, float(tv[0]) if single else tv))
+        out.append((float(t), float(tv[0]) if single else tv))
     return out
 
 
@@ -427,13 +429,16 @@ def l2_sq_exact(graph: WeightedGraph, weights: SiteWeights, eta, t: float,
 
 def _pair_diagonal_kernels(graph: WeightedGraph, weights: SiteWeights, times,
                            tol: float):
-    """M_t for each t, stacked: the two-particle generator is built once and
-    every time is summed from one sequence of powers, each with its own
-    Poisson tail below ``tol``."""
+    """M_t for each t, in the order given: the two-particle generator is
+    built once and the times, in ascending order, are summed from one
+    sequence of powers, each with its own Poisson tail below ``tol``."""
     n = graph.n
     semigroup = _Uniformization(generator_splitting_labeled(graph, weights, 2))
     g0 = np.diag(1.0 / weights.pi).reshape(-1)
-    return semigroup.evolve(g0, times, tol, measure=False).reshape(-1, n, n)
+    times = np.asarray(times, dtype=float)
+    order = np.argsort(times, kind="stable")
+    kernels = semigroup.evolve(g0, times[order], tol, measure=False)
+    return kernels[np.argsort(order)].reshape(-1, n, n)
 
 
 def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t,

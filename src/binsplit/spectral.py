@@ -14,10 +14,13 @@ t_i sums its own terms j = 0..m_i, where m_i certifies a right tail below the
 tolerance per time: ``tol`` for a single time or a pair-kernel profile,
 ``tol / len(times)`` for an exact TV profile.  Blocks of ``POWER_BLOCK``
 powers are added into the per-time accumulators by one in-place BLAS product.
-When the accumulators and a block exceed ``EVOLVE_BYTES``, the times are
-split into consecutive groups, each restarting from the previous group's last
-result.  On the cycle-5 profile at k = 14 with 40 times, the powers cost 108
-sparse products, where chaining one uniformized step per time cost 555.
+A profile (``evolve_each``) holds at most ``EVOLVE_BYTES`` of accumulators and
+powers: the times are split into consecutive groups that share one buffer,
+each restarting from the previous group's last result, and the caller reduces
+each result before the next group is evolved.  On the cycle-5 profile at
+k = 14 with 40 times, the powers cost 108 sparse products, where chaining one
+uniformized step per time cost 555.  At k = 32 the 40 laws of 5 starts take
+94 MB and run in three groups, 166 sparse products against 114 in one group.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ DEFAULT_TRANSIENT_CAP = 200_000
 DENSE_EIG_CUTOFF = 512
 EIGSH_START_SEED = 0
 LANCZOS_RESTARTS = 200
-EVOLVE_BYTES = 1 << 28  # accumulators of one group of record times plus its block of powers
+EVOLVE_BYTES = 1 << 26  # results of one group of record times plus its block of powers
 POWER_BLOCK = 16        # powers of P per in-place BLAS accumulation
 
 __all__ = [
@@ -508,6 +511,11 @@ def _check_times(times, tol: float) -> np.ndarray:
     return times
 
 
+def _vector_slots(v: np.ndarray) -> int:
+    """How many arrays of ``v``'s size fit in ``EVOLVE_BYTES``, at least 2."""
+    return max(2, EVOLVE_BYTES // max(1, 8 * v.size))
+
+
 class _Uniformization:
     """exp(tQ) as the Poisson(L t) mixture of powers of P = I + Q/L.
 
@@ -523,44 +531,34 @@ class _Uniformization:
         self._P = self._PT = None
         self.matvecs = 0
 
-    def evolve(self, v: np.ndarray, times, tol: float, measure: bool) -> np.ndarray:
+    def evolve(self, v: np.ndarray, times, tol: float, measure: bool,
+               out: np.ndarray | None = None) -> np.ndarray:
         """exp(t Q) applied to ``v`` at each of the ascending ``times``,
-        stacked along a new first axis.
+        stacked along a new first axis (into ``out`` when given).
 
         Every time sums its own Poisson terms, with a right tail below
-        ``tol``, from one sequence of powers P^j v.  When the accumulators
-        and a block of powers exceed ``EVOLVE_BYTES``, the times are split
-        into consecutive groups; each group restarts from the last result of
-        the one before, and every leg gets ``tol`` divided by the number of
-        groups, so each time stays within ``tol``.
+        ``tol``, from one sequence of powers P^j v, taken in blocks that fit
+        in ``EVOLVE_BYTES`` beside the results.
         """
         times = _check_times(times, tol)
         v = np.asarray(v, dtype=float)
-        out = np.empty((times.size,) + v.shape)
-        slots = max(2, EVOLVE_BYTES // max(1, 8 * v.size))
-        block = min(POWER_BLOCK, slots // 2)
-        per_group = slots - block
-        groups = range(0, times.size, per_group)
-        t0, x = 0.0, v
-        for lo in groups:
-            rows = slice(lo, min(lo + per_group, times.size))
-            self._accumulate(x, times[rows] - t0, tol / len(groups), measure, block, out[rows])
-            t0, x = times[rows.stop - 1], out[rows.stop - 1]
-        return out
-
-    def _accumulate(self, v, times, tol, measure, block, acc):
-        # acc[i] = sum_j pmf(j; L t_i) P^j v over j = 0..m_i, accumulated one
+        if out is None:
+            out = np.empty((times.size,) + v.shape)
+        if not times.size:
+            return out
+        # out[i] = sum_j pmf(j; L t_i) P^j v over j = 0..m_i, accumulated one
         # block of powers at a time by a BLAS product written in place
         terms = [_poisson_terms(self.rate * t, tol) for t in times]
         W = np.zeros((len(terms), max(w.size for w in terms)))
         for i, w in enumerate(terms):
             W[i, :w.size] = w
-        powers = np.empty((min(block, W.shape[1]),) + v.shape)
-        flat = acc.reshape(acc.shape[0], v.size).T
+        block = min(POWER_BLOCK, max(1, _vector_slots(v) - times.size), W.shape[1])
+        powers = np.empty((block,) + v.shape)
+        flat = out.reshape(times.size, v.size).T
         flat[...] = 0.0
         x = v
-        for lo in range(0, W.shape[1], powers.shape[0]):
-            hi = min(lo + powers.shape[0], W.shape[1])
+        for lo in range(0, W.shape[1], block):
+            hi = min(lo + block, W.shape[1])
             for j in range(lo, hi):
                 if j > 0:
                     x = self._step(measure) @ x
@@ -568,6 +566,32 @@ class _Uniformization:
             dgemm(1.0, powers[:hi - lo].reshape(hi - lo, v.size).T, W[:, lo:hi].T,
                   beta=1.0, c=flat, overwrite_c=True)
         self.matvecs += W.shape[1] - 1
+        return out
+
+    def evolve_each(self, v: np.ndarray, times, tol: float, measure: bool):
+        """Yields (t, exp(t Q) applied to ``v``) for each of the ascending
+        ``times``, holding at most ``EVOLVE_BYTES`` of results and powers.
+
+        Consecutive times are evolved together in groups, as many as fit in
+        the budget beside a block of powers.  Each group restarts from the
+        last result of the one before, and every leg gets ``tol`` divided by
+        the number of groups, so each time stays within ``tol``.  The groups
+        share one buffer: a yielded result is overwritten once the next group
+        is evolved, so reduce or copy it first.
+        """
+        times = _check_times(times, tol)
+        v = np.asarray(v, dtype=float)
+        slots = _vector_slots(v)
+        width = max(1, min(slots - min(POWER_BLOCK, slots // 2), times.size))
+        legs = -(-times.size // width)
+        buffer = np.empty((width,) + v.shape)
+        t0, x = 0.0, v
+        for lo in range(0, times.size, width):
+            group = times[lo:lo + width]
+            laws = self.evolve(x, group - t0, tol / legs, measure, out=buffer[:group.size])
+            if lo + width < times.size:
+                t0, x = group[-1], laws[-1].copy()
+            yield from zip(group, laws)
 
     def _step(self, measure: bool) -> sp.csr_matrix:
         if self._P is None:

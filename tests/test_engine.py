@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,7 +359,7 @@ def test_multi_time_evolve_equals_one_time_calls(measure):
 
 
 @pytest.mark.parametrize("measure", [True, False])
-def test_evolve_groups_match_one_group(monkeypatch, measure):
+def test_evolve_each_groups_match_one_sequence(monkeypatch, measure):
     Q, block = cycle_block()
     times = np.array([0.1, 0.4, 0.9, 1.3, 2.5, 4.0])
     tol = 1e-10
@@ -367,8 +368,9 @@ def test_evolve_groups_match_one_group(monkeypatch, measure):
     # room for three vectors: one power per block and two times per group
     monkeypatch.setattr(spectral, "EVOLVE_BYTES", 3 * 8 * block.size)
     split = _Uniformization(Q)
-    grouped = split.evolve(block, times, tol, measure)
-    assert np.max(np.abs(grouped - whole)) <= tol
+    for i, (t, got) in enumerate(split.evolve_each(block, times, tol, measure)):
+        assert t == times[i]
+        assert np.max(np.abs(got - whole[i])) <= tol
     # three legs, each from the end of the one before at tol / 3; at tol
     # each of these legs would take one term fewer
     legs = [(0.0, 0.4), (0.4, 1.3), (1.3, 4.0)]
@@ -390,6 +392,39 @@ def test_cutoff_profile_takes_one_power_sequence(monkeypatch):
     tv_profile_exact(graph, weights, 14, np.eye(5, dtype=np.int64) * 14, times, 1e-9)
     [kernel] = seen
     assert kernel.matvecs == _poisson_terms(kernel.rate * times[-1], 1e-9 / 40).size - 1
+
+
+def test_cutoff_profile_holds_one_group_of_laws(monkeypatch):
+    # 40 times of 210 starts on 210 states: stacked, the laws would take 40
+    # vectors.  With room for three (two times per group and a block of one
+    # power), the rest is the start, the restart, two powers in flight and
+    # the copy of one law that its TV is taken from: about 9 vectors
+    graph = cycle_graph(5)
+    weights = uniform_weights(5)
+    space = enumerate_configs(5, 6)
+    times = np.linspace(0.05, 3.0, 40) * single_particle_spectrum(graph, weights).t_rel
+    vector = 8 * space.size * space.size
+    whole = tv_profile_exact(graph, weights, 6, space.configs, times, 1e-9, space)
+    monkeypatch.setattr(spectral, "EVOLVE_BYTES", 3 * vector)
+    tracemalloc.start()
+    try:
+        grouped = tv_profile_exact(graph, weights, 6, space.configs, times, 1e-9, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * vector
+    for (t, a), (s, b) in zip(whole, grouped):
+        assert t == s
+        assert np.max(np.abs(a - b)) <= 2e-9
+
+
+def test_worst_l2_sq_takes_times_in_any_order():
+    graph = cycle_graph(4)
+    weights = site_weights([0.1, 0.2, 0.3, 0.4])
+    times = [0.9, 0.1, 2.5, 0.4]
+    shuffled = worst_l2_sq(graph, weights, times, n_random=5)
+    ascending = worst_l2_sq(graph, weights, sorted(times), n_random=5)
+    assert shuffled == [ascending[sorted(times).index(t)] for t in times]
 
 
 BAD_TIMES = [(math.nan, "nan"), (math.inf, "inf"), (-1.0, "-1.0")]
