@@ -140,11 +140,7 @@ def chi2_multinomial(eta, weights: SiteWeights, k: int) -> float:
 
 def tv_bound_multinomial(eta, weights: SiteWeights, k: int) -> float:
     """min(1, sqrt(chi2)) upper bound on the multinomial TV distance."""
-    w2 = averaging.transport_norm(np.asarray(eta, float), weights, 2.0) ** 2
-    half_log = 0.5 * k * math.log1p(w2)
-    if half_log >= 0.5 * math.log(1e300):
-        return 1.0
-    return min(1.0, math.sqrt(math.expm1(2.0 * half_log)))
+    return min(1.0, math.sqrt(chi2_multinomial(eta, weights, k)))
 
 
 def multinomial_tv_exact(eta, weights: SiteWeights, k: int,

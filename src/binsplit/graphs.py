@@ -14,6 +14,10 @@ Vertex indexing conventions of the builders:
   sorted lexicographically by their integer (row, col) coordinates.
 * ``percolation_box``: vertices of the retained cluster keep the row-major
   box order and are re-indexed densely in increasing order.
+
+Both lattices take their bonds from one enumerator of "+1 neighbour along
+each axis" pairs, and connectivity (of any graph, and of the percolation
+clusters) comes from one union-find.
 """
 
 from __future__ import annotations
@@ -49,9 +53,8 @@ class PercolationRetry(ValueError):
     """Open cluster too small to be usable; retry with another seed."""
 
 
-def _check_connected(n: int, edges) -> bool:
-    if n == 1:
-        return True
+def _cluster_roots(n: int, pairs) -> np.ndarray:
+    """Union-find root of every vertex 0..n-1 under the bonds ``pairs``."""
     parent = list(range(n))
 
     def find(a):
@@ -60,12 +63,22 @@ def _check_connected(n: int, edges) -> bool:
             a = parent[a]
         return a
 
-    for x, y, _ in edges:
+    for x, y in pairs:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
-    root = find(0)
-    return all(find(v) == root for v in range(n))
+    return np.array([find(v) for v in range(n)])
+
+
+def _lattice_bonds(dims, wrap: bool) -> np.ndarray:
+    """Bonds (x, y) from each vertex x of the row-major box ``dims`` to its +1
+    neighbour y along each axis, vertex-major then axis.  ``wrap`` keeps the
+    periodic bonds too (those have y < x); an axis of size 1 gives none."""
+    idx = np.arange(int(np.prod(dims))).reshape(dims)
+    nb = np.stack([np.roll(idx, -1, axis=ax).ravel() for ax in range(len(dims))], axis=1)
+    x = np.broadcast_to(idx.reshape(-1, 1), nb.shape)
+    keep = nb != x if wrap else nb > x
+    return np.stack([x[keep], nb[keep]], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +86,9 @@ class WeightedGraph:
     """Undirected connected graph with positive edge conductances.
 
     ``edges`` is a tuple of (x, y, c_xy) with x < y after normalization.
-    Derived arrays (``edge_x``, ``edge_y``, ``edge_c``) and the adjacency
-    index are built once; instances are immutable (identity-hashed, so they
-    can key per-graph caches) and safe to share across threads.
+    Derived arrays (``edge_x``, ``edge_y``, ``edge_c``) are built once;
+    instances are immutable (identity-hashed, so they can key per-graph
+    caches) and safe to share across threads.
     """
 
     n: int
@@ -83,7 +96,6 @@ class WeightedGraph:
     edge_x: np.ndarray = field(init=False, repr=False, compare=False)
     edge_y: np.ndarray = field(init=False, repr=False, compare=False)
     edge_c: np.ndarray = field(init=False, repr=False, compare=False)
-    neighbors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -104,17 +116,13 @@ class WeightedGraph:
                 raise ValueError(f"duplicate undirected edge {key}")
             seen.add(key)
             norm.append((key[0], key[1], c))
-        if not _check_connected(self.n, norm):
+        roots = _cluster_roots(self.n, (e[:2] for e in norm))
+        if np.any(roots != roots[0]):
             raise ValueError("graph is not connected")
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "edge_x", np.array([e[0] for e in norm], dtype=np.int64))
         object.__setattr__(self, "edge_y", np.array([e[1] for e in norm], dtype=np.int64))
         object.__setattr__(self, "edge_c", np.array([e[2] for e in norm], dtype=float))
-        adj = [[] for _ in range(self.n)]
-        for (x, y, c) in norm:
-            adj[x].append((y, c))
-            adj[y].append((x, c))
-        object.__setattr__(self, "neighbors", tuple(tuple(a) for a in adj))
 
     @property
     def n_edges(self) -> int:
@@ -126,7 +134,7 @@ class WeightedGraph:
 
     def degree_annotated_canonical(self):
         """Canonical sort of degree-annotated edges, for isomorphism fingerprints."""
-        deg = [len(a) for a in self.neighbors]
+        deg = np.bincount(np.concatenate([self.edge_x, self.edge_y]), minlength=self.n).tolist()
         items = sorted(
             (tuple(sorted((deg[x], deg[y]))), round(c, 12)) for (x, y, c) in self.edges
         )
@@ -214,25 +222,9 @@ def torus_graph(dims, conductance=1.0) -> WeightedGraph:
     dims = [int(d) for d in dims]
     if len(dims) < 1 or any(d < 1 for d in dims):
         raise ValueError("torus dims must be >= 1")
-    n = int(np.prod(dims))
-    pairs = []
-    seen = set()
-    for flat in range(n):
-        coord = list(np.unravel_index(flat, dims))
-        for ax, d in enumerate(dims):
-            if d == 1:
-                continue
-            nb = coord.copy()
-            nb[ax] = (nb[ax] + 1) % d
-            j = int(np.ravel_multi_index(nb, dims))
-            if j == flat:
-                continue
-            key = (min(flat, j), max(flat, j))
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
-    pairs.sort()
-    return WeightedGraph(n, tuple(_apply_conductance(pairs, conductance)))
+    bonds = _lattice_bonds(dims, wrap=True).tolist()
+    pairs = sorted({(min(x, y), max(x, y)) for x, y in bonds})
+    return WeightedGraph(int(np.prod(dims)), tuple(_apply_conductance(pairs, conductance)))
 
 
 def complete_graph(size: int, conductance=1.0) -> WeightedGraph:
@@ -291,34 +283,14 @@ def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> We
     if not (0.0 < p_open <= 1.0):
         raise ValueError("p_open must lie in (0, 1]")
     n = int(np.prod(dims))
-    bonds = []
-    for flat in range(n):
-        coord = list(np.unravel_index(flat, dims))
-        for ax, d in enumerate(dims):
-            if coord[ax] + 1 < d:
-                nb = coord.copy()
-                nb[ax] += 1
-                bonds.append((flat, int(np.ravel_multi_index(nb, dims))))
+    bonds = _lattice_bonds(dims, wrap=False)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    keep = rng.random(len(bonds)) < p_open
-    open_bonds = [b for b, k in zip(bonds, keep) if k]
-
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x, y in open_bonds:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    comp = {}
-    for v in range(n):
-        comp.setdefault(find(v), []).append(v)
-    cluster = max(comp.values(), key=len)
+    open_bonds = bonds[rng.random(len(bonds)) < p_open]
+    roots = _cluster_roots(n, open_bonds.tolist())
+    # argmax finds the lowest vertex of any largest cluster, so ties go to the
+    # cluster whose smallest vertex is lowest
+    root = roots[np.argmax(np.bincount(roots, minlength=n)[roots])]
+    cluster = np.flatnonzero(roots == root)
     if len(cluster) < 2:
         raise PercolationRetry(
             f"largest open cluster has {len(cluster)} vertex; retry with another seed"
@@ -328,15 +300,11 @@ def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> We
             f"largest open cluster covers {len(cluster)}/{n} vertices (< half the box); "
             "increase p_open or retry with another seed"
         )
-    cluster_sorted = sorted(cluster)
-    remap = {v: i for i, v in enumerate(cluster_sorted)}
-    inside = set(cluster_sorted)
-    pairs = sorted(
-        (remap[min(x, y)], remap[max(x, y)])
-        for (x, y) in open_bonds
-        if x in inside and y in inside
-    )
-    return WeightedGraph(len(cluster_sorted), tuple(_apply_conductance(pairs, conductance)))
+    remap = np.full(n, -1)
+    remap[cluster] = np.arange(len(cluster))
+    inner = remap[open_bonds[roots[open_bonds[:, 0]] == root]]
+    pairs = sorted(map(tuple, inner.tolist()))
+    return WeightedGraph(len(cluster), tuple(_apply_conductance(pairs, conductance)))
 
 
 def custom_graph(edge_list, n: int | None = None, conductance=None) -> WeightedGraph:
@@ -357,9 +325,13 @@ def custom_graph(edge_list, n: int | None = None, conductance=None) -> WeightedG
 
 
 def build_graph(kind: str, *, size=None, dims=None, level=None, p_open=None,
-                seed=None, edge_list=None, conductance=1.0) -> WeightedGraph:
+                seed=None, edge_list=None, conductance=None) -> WeightedGraph:
     """Dispatch builder: kind in {path, cycle, torus, complete, sierpinski,
-    percolation_box, custom}."""
+    percolation_box, custom}.  ``conductance`` None keeps the builder's
+    default 1.0 or a custom edge list's own values; any value overrides."""
+    if kind == "custom":
+        return custom_graph(edge_list, conductance=conductance)
+    conductance = 1.0 if conductance is None else conductance
     if kind == "path":
         return path_graph(size, conductance)
     if kind == "cycle":
@@ -374,8 +346,6 @@ def build_graph(kind: str, *, size=None, dims=None, level=None, p_open=None,
         if seed is None:
             raise ValueError("percolation_box needs a seed")
         return percolation_box_graph(dims, p_open, seed, conductance)
-    if kind == "custom":
-        return custom_graph(edge_list, conductance=None if conductance == 1.0 else conductance)
     raise ValueError(f"unknown graph kind {kind!r}")
 
 

@@ -75,7 +75,6 @@ class ExperimentConfig:
 
     graph: dict = field(default_factory=lambda: {"kind": "cycle", "size": 5})
     weights: dict = field(default_factory=lambda: {"kind": "uniform"})
-    process: str = "bin"
     k: list = field(default_factory=lambda: [1])
     times: dict = field(default_factory=lambda: {"mode": "trel", "multiples": [0.5, 1, 2, 3, 4]})
     replicas: int = 200
@@ -149,10 +148,15 @@ def resolve_weights(spec: dict, n: int) -> SiteWeights:
     if kind == "uniform":
         return uniform_weights(n)
     if kind == "file":
-        return load_site_weights(spec["path"])
-    if kind == "values":
-        return site_weights(spec["values"])
-    raise ValueError(f"unknown weights kind {kind!r}")
+        weights = load_site_weights(spec["path"])
+    elif kind == "values":
+        weights = site_weights(spec["values"])
+    else:
+        raise ValueError(f"unknown weights kind {kind!r}")
+    if weights.n != n:
+        raise ValueError(f"config key 'weights' has {weights.n} values for a graph "
+                         f"of {n} vertices")
+    return weights
 
 
 def mixing_time(t_rel: float, k: int) -> float:
@@ -271,21 +275,11 @@ def read_table(path):
 
 
 def write_profile_csv(path, records) -> None:
-    rows = [{
-        "experiment": r.experiment, "k": r.k, "t": r.t,
-        "t_normalized": r.t_normalized, "value": r.value,
-        "stderr": r.stderr, "kind": r.kind,
-    } for r in records]
-    write_table(path, PROFILE_COLUMNS, rows)
+    write_table(path, PROFILE_COLUMNS, [vars(r) for r in records])
 
 
 def read_profile_csv(path):
-    _, rows = read_table(path)
-    return [ProfileRecord(experiment=str(r["experiment"]), k=int(r["k"]),
-                          t=float(r["t"]), t_normalized=float(r["t_normalized"]),
-                          value=float(r["value"]), stderr=float(r["stderr"]),
-                          kind=str(r["kind"]))
-            for r in rows]
+    return [ProfileRecord(**row) for row in read_table(path)[1]]
 
 
 def write_svg_line(path, xs, ys, title: str = "", width: int = 640,
@@ -398,10 +392,9 @@ def run_cutoff_bin(config: ExperimentConfig):
     for k in config.k:
         times = resolve_time_grid(config.times, t_rel, k)
         size = math.comb(graph.n + k - 1, k)
-        exact = size <= EXACT_MODE_STATE_CAP
-        if exact:
+        starts = _worst_dirac_starts(graph, config.seed)
+        if size <= EXACT_MODE_STATE_CAP:
             space = spectral.enumerate_configs(graph.n, k)
-            starts = _worst_dirac_starts(graph, config.seed)
             piles = np.zeros((len(starts), graph.n), dtype=np.int64)
             piles[np.arange(len(starts)), starts] = k
             prof = distances.tv_profile_exact(graph, weights, k, piles, times,
@@ -412,7 +405,6 @@ def run_cutoff_bin(config: ExperimentConfig):
         else:
             w2s = distances.worst_l2_sq(graph, weights, times, config.tol,
                                         seed=config.seed)
-            starts = _worst_dirac_starts(graph, config.seed)
             for t, w2 in zip(times, w2s):
                 records.append(ProfileRecord("cutoff", k, t, t / t_rel,
                                              distances.tv_bound_from_l2(k, w2),
@@ -447,11 +439,20 @@ def _resolve_eta0(config: ExperimentConfig, graph: WeightedGraph) -> np.ndarray:
     eta0 = config.eta0
     if eta0 is None:
         eta0 = {"dirac": 0}
+    n = graph.n
     if isinstance(eta0, dict) and "dirac" in eta0:
-        out = np.zeros(graph.n)
-        out[int(eta0["dirac"])] = 1.0
+        v = int(eta0["dirac"])
+        if not 0 <= v < n:
+            raise ValueError(f"config key 'eta0' puts its dirac on vertex {v} of a graph "
+                             f"of {n} vertices")
+        out = np.zeros(n)
+        out[v] = 1.0
         return out
-    return averaging.as_simplex(np.asarray(eta0, float))
+    eta = np.asarray(eta0, float)
+    if eta.shape != (n,):
+        raise ValueError(f"config key 'eta0' has shape {eta.shape} for a graph "
+                         f"of {n} vertices")
+    return averaging.as_simplex(eta)
 
 
 def run_avg_profile(config: ExperimentConfig):

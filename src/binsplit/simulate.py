@@ -37,7 +37,6 @@ __all__ = [
     "simulate_splitting",
     "simulate_splitting_labeled",
     "simulate_multicolored",
-    "dump_trajectories_csv",
 ]
 
 # Version of the draw order above; results at a fixed seed change with it.
@@ -190,16 +189,11 @@ def simulate_averaging_batch(graph: WeightedGraph, weights: SiteWeights, eta0,
 
 
 def simulate_averaging(graph: WeightedGraph, weights: SiteWeights, eta0,
-                       opts: SimOptions, return_drift: bool = False):
+                       opts: SimOptions):
     """States of the averaging dynamics at the requested record times: the
-    lockstep batch of the one replica ``opts.replica_id``.  With
-    ``return_drift`` also the number of drift rescales (see
-    :func:`simulate_averaging_batch`)."""
-    states, drift = simulate_averaging_batch(graph, weights, eta0, opts, 1)
-    out = list(states[0])
-    if return_drift:
-        return out, drift
-    return out
+    lockstep batch of the one replica ``opts.replica_id``."""
+    states, _ = simulate_averaging_batch(graph, weights, eta0, opts, 1)
+    return list(states[0])
 
 
 def _redistribute_counts(state, x: int, y: int, p: float, mode: str,
@@ -306,24 +300,3 @@ def simulate_multicolored(graph: WeightedGraph, weights: SiteWeights, xi0,
 
     return _run_replica(graph, weights, opts, update, state.copy)
 
-
-def dump_trajectories_csv(path, results, record_times, kind: str) -> None:
-    """Write trajectories as `replica,t,state...` rows.
-
-    State column layout by process kind: ``avg`` mass per vertex 0..n-1;
-    ``bin`` occupation per vertex; ``labeled`` position per particle 1..k;
-    ``multicolored`` occupation flattened color-major (color 0 block first).
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# trajectory dump kind={kind}; columns: replica,t,state...\n")
-        first = next(iter(results.values()))[0]
-        width = np.asarray(first).reshape(-1).size
-        header = ",".join(f"s{j}" for j in range(width))
-        fh.write(f"replica,t,{header}\n")
-        for replica in sorted(results):
-            states = results[replica]
-            for t, state in zip(record_times, states):
-                flat = np.asarray(state).reshape(-1)
-                vals = ",".join(repr(float(v)) if kind == "avg" else str(int(v))
-                                for v in flat)
-                fh.write(f"{replica},{t!r},{vals}\n")

@@ -67,7 +67,6 @@ __all__ = [
     "dirichlet_independent_pair",
     "dirichlet_defect_form",
     "product_weights",
-    "dump_rate_matrix",
 ]
 
 
@@ -672,10 +671,3 @@ def dirichlet_defect_form(graph: WeightedGraph, weights: SiteWeights,
         total += c * (w ** 2) * (T[x, x] + T[y, y] - T[x, y] - T[y, x]) ** 2
     return total
 
-
-def dump_rate_matrix(Q, path) -> None:
-    """Write `row col rate` lines (all stored entries, diagonal included)."""
-    coo = sp.csr_matrix(Q).tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

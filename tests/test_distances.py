@@ -94,6 +94,26 @@ def test_tv_bound_dominates_exact_tv():
                 assert exact <= tv_bound_multinomial(eta, w, k) + 1e-12
 
 
+def reference_tv_bound(eta, weights, k):
+    # the closed form tv_bound_multinomial had before it reused chi2_multinomial
+    w2 = transport_norm(np.asarray(eta, float), weights, 2.0) ** 2
+    half_log = 0.5 * k * math.log1p(w2)
+    if half_log >= 0.5 * math.log(1e300):
+        return 1.0
+    return min(1.0, math.sqrt(math.expm1(2.0 * half_log)))
+
+
+def test_tv_bound_matches_reference_closed_form():
+    rng = np.random.default_rng(7)
+    ks = [0, 1, 2, 3, 7, 50, 10 ** 3, 10 ** 5, 10 ** 7, 10 ** 9]
+    for n in (2, 3, 5, 16):
+        for _ in range(40):
+            w = site_weights(rng.uniform(0.05, 2.0, n))
+            eta = rng.dirichlet(np.full(n, rng.choice([0.05, 1.0, 50.0])))
+            for k in ks:
+                assert tv_bound_multinomial(eta, w, k) == reference_tv_bound(eta, w, k)
+
+
 def test_wasserstein_estimate_examples():
     g = cycle_graph(4)
     w = uniform_weights(4)

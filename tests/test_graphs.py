@@ -74,6 +74,8 @@ def test_invalid_graphs_rejected():
         WeightedGraph(2, ((0, 1, 0.0),))
     with pytest.raises(ValueError, match="not connected"):
         WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+    with pytest.raises(ValueError, match="not connected"):
+        WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
 
 
 def test_invalid_weights_rejected():
@@ -154,3 +156,112 @@ def test_edge_list_file_roundtrip(tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\n")
         load_edge_list(bad)
+
+
+# References: the per-vertex loops and the union-find that the lattice
+# builders used before the shared bond enumerator, kept to pin the edge
+# orders (and the Philox keep-mask alignment) of the numpy rewrite.
+
+def reference_torus_pairs(dims):
+    n = int(np.prod(dims))
+    pairs = []
+    seen = set()
+    for flat in range(n):
+        coord = list(np.unravel_index(flat, dims))
+        for ax, d in enumerate(dims):
+            if d == 1:
+                continue
+            nb = coord.copy()
+            nb[ax] = (nb[ax] + 1) % d
+            j = int(np.ravel_multi_index(nb, dims))
+            if j == flat:
+                continue
+            key = (min(flat, j), max(flat, j))
+            if key not in seen:
+                seen.add(key)
+                pairs.append(key)
+    pairs.sort()
+    return pairs
+
+
+def reference_percolation_pairs(dims, p_open, seed):
+    n = int(np.prod(dims))
+    bonds = []
+    for flat in range(n):
+        coord = list(np.unravel_index(flat, dims))
+        for ax, d in enumerate(dims):
+            if coord[ax] + 1 < d:
+                nb = coord.copy()
+                nb[ax] += 1
+                bonds.append((flat, int(np.ravel_multi_index(nb, dims))))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    keep = rng.random(len(bonds)) < p_open
+    open_bonds = [b for b, k in zip(bonds, keep) if k]
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for x, y in open_bonds:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+    comp = {}
+    for v in range(n):
+        comp.setdefault(find(v), []).append(v)
+    cluster = max(comp.values(), key=len)
+    if len(cluster) < 2:
+        raise PercolationRetry(
+            f"largest open cluster has {len(cluster)} vertex; retry with another seed"
+        )
+    if len(cluster) < n / 2:
+        raise PercolationRetry(
+            f"largest open cluster covers {len(cluster)}/{n} vertices (< half the box); "
+            "increase p_open or retry with another seed"
+        )
+    cluster_sorted = sorted(cluster)
+    remap = {v: i for i, v in enumerate(cluster_sorted)}
+    inside = set(cluster_sorted)
+    pairs = sorted((remap[min(x, y)], remap[max(x, y)])
+                   for (x, y) in open_bonds if x in inside and y in inside)
+    return len(cluster_sorted), pairs
+
+
+def test_torus_edges_match_reference_loop():
+    for dims in ([1], [2], [5], [2, 2], [2, 3], [1, 4], [3, 1, 4], [2, 2, 2], [6, 6]):
+        g = torus_graph(dims)
+        assert g.n == int(np.prod(dims))
+        assert g.edges == tuple((x, y, 1.0) for (x, y) in reference_torus_pairs(dims))
+
+
+def test_percolation_matches_reference_loop():
+    cases = retries = 0
+    for dims in ([1], [6], [2, 2], [4, 4], [3, 5], [6, 6], [2, 3, 4], [3, 3, 3]):
+        for p_open in (0.3, 0.6, 1.0):
+            for seed in range(10):
+                try:
+                    n, pairs = reference_percolation_pairs(dims, p_open, seed)
+                except PercolationRetry as ref:
+                    with pytest.raises(PercolationRetry) as got:
+                        percolation_box_graph(dims, p_open, seed)
+                    assert str(got.value) == str(ref)
+                    retries += 1
+                    continue
+                g = percolation_box_graph(dims, p_open, seed)
+                assert g.n == n
+                assert g.edges == tuple((x, y, 1.0) for (x, y) in pairs)
+                cases += 1
+    assert cases > 50 and retries > 20
+
+
+def test_explicit_unit_conductance_overrides_custom_edges():
+    edges = [(0, 1, 3.0), (1, 2, 3.0)]
+    assert [c for (_, _, c) in build_graph("custom", edge_list=edges).edges] == [3.0, 3.0]
+    for c in (1.0, 2.0):
+        g = build_graph("custom", edge_list=edges, conductance=c)
+        assert [e[2] for e in g.edges] == [c, c]
+    assert build_graph("cycle", size=4).edge_c.tolist() == [1.0] * 4
+    assert build_graph("cycle", size=4, conductance=0.5).edge_c.tolist() == [0.5] * 4

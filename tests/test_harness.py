@@ -364,6 +364,36 @@ def test_thread_knob_is_gone(tmp_path, capsys):
     cfg_path.write_text("graph: {kind: cycle, size: 6}\nthreads: 2\n")
     with pytest.raises(ValueError, match="threads"):
         load_config(cfg_path)
+    cfg_path.write_text("graph: {kind: cycle, size: 6}\nprocess: bin\n")
+    with pytest.raises(ValueError, match="process"):
+        load_config(cfg_path)
     with pytest.raises(SystemExit):
         cli_main(["avg-profile", "--threads", "2"])
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, values, as_file, run", [
+    ({"kind": "cycle", "size": 4}, [1, 2, 3], False, run_gap_sweep),
+    ({"kind": "complete", "size": 64}, list(range(1, 66)), False, run_complete_cdsz),
+    ({"kind": "cycle", "size": 4}, [1, 2, 3], True, run_gap_sweep),
+])
+def test_weights_of_wrong_length_name_their_key(tmp_path, graph, values, as_file, run):
+    weights = {"kind": "values", "values": values}
+    if as_file:
+        (tmp_path / "w.txt").write_text("".join(f"{v}\n" for v in values))
+        weights = {"kind": "file", "path": str(tmp_path / "w.txt")}
+    cfg = ExperimentConfig(graph=graph, k=[1], replicas=10, weights=weights)
+    message = f"'weights' has {len(values)} values for a graph of {graph['size']} vertices"
+    with pytest.raises(ValueError, match=message):
+        run(cfg)
+
+
+@pytest.mark.parametrize("eta0, message", [
+    ({"dirac": 9}, "'eta0' puts its dirac on vertex 9 of a graph of 8 vertices"),
+    ([0.5, 0.5], r"'eta0' has shape \(2,\) for a graph of 8 vertices"),
+    ([[0.5] * 4, [0.0] * 4], r"'eta0' has shape \(2, 4\) for a graph of 8 vertices"),
+])
+def test_eta0_out_of_range_or_wrong_length_names_its_key(eta0, message):
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 8}, eta0=eta0, replicas=100)
+    with pytest.raises(ValueError, match=message):
+        run_avg_profile(cfg)

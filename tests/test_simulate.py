@@ -6,8 +6,8 @@ from binsplit.averaging import transport_norm
 from binsplit.distances import single_particle_spectrum, tv_distance
 from binsplit.graphs import cycle_graph, path_graph, site_weights, uniform_weights
 from binsplit import simulate
-from binsplit.simulate import (STREAM_LAYOUT, SimOptions, dump_trajectories_csv,
-                               make_rng, simulate_averaging,
+from binsplit.simulate import (STREAM_LAYOUT, SimOptions, make_rng,
+                               simulate_averaging,
                                simulate_averaging_batch, simulate_multicolored,
                                simulate_splitting, simulate_splitting_labeled)
 from binsplit.spectral import generator_single_particle, transient_distribution
@@ -161,9 +161,9 @@ def test_drift_guard_rescales_off_mass_once():
                            (np.array([1.0, 0, 0, 0]), 0)):
         for r in range(5):
             one = SimOptions(record_times=times, seed=18, replica_id=r)
-            states, drift = simulate_averaging(g, w, eta0, one, return_drift=True)
+            states, drift = simulate_averaging_batch(g, w, eta0, one, 1)
             assert drift == rescales
-            assert abs(states[-1].sum() - 1.0) <= 1e-12
+            assert abs(states[0, -1].sum() - 1.0) <= 1e-12
         batch, total = simulate_averaging_batch(g, w, eta0, opts, 25)
         assert total == 25 * rescales
         assert np.all(np.abs(batch.sum(axis=2) - 1.0) <= 1e-12)
@@ -261,21 +261,3 @@ def test_determinism_and_stream_independence():
     other = SimOptions(record_times=times, seed=14, replica_id=3)
     c = simulate_splitting(g, w, np.array([2, 1, 0, 0, 0]), other)
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
-
-
-def test_trajectory_dump_layout(tmp_path):
-    g = path_graph(3)
-    w = uniform_weights(3)
-    times = (0.5, 1.0)
-    results = {}
-    for rep in range(3):
-        opts = SimOptions(record_times=times, seed=15, replica_id=rep)
-        results[rep] = simulate_averaging(g, w, np.array([1.0, 0, 0]), opts)
-    path = tmp_path / "traj.csv"
-    dump_trajectories_csv(path, results, times, "avg")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "replica,t,s0,s1,s2"
-    assert len(lines) == 2 + 3 * len(times)
-    first = lines[2].split(",")
-    assert int(first[0]) == 0 and float(first[1]) == 0.5

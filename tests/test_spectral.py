@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from binsplit.graphs import (WeightedGraph, complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
 from binsplit import duality, spectral
 from binsplit.spectral import (StateSpaceCapError, dirichlet_defect_form,
                                dirichlet_form, dirichlet_independent_pair,
-                               dirichlet_single_particle, dump_rate_matrix,
+                               dirichlet_single_particle,
                                enumerate_configs, evolve_observable,
                                generator_independent_pair,
                                generator_single_particle, generator_splitting,
@@ -457,22 +456,6 @@ def test_pair_kernel_log_convex_decay_fingerprint():
     assert np.all(np.diff(logs, 2) >= -1e-8)
     fitted_c = float(np.max(devs * np.exp(ts / t_rel)))
     assert np.all(devs <= fitted_c * np.exp(-ts / t_rel) + 1e-12)
-
-
-def test_dump_rate_matrix(tmp_path):
-    g = path_graph(3)
-    w = uniform_weights(3)
-    Q = generator_single_particle(g, w)
-    path = tmp_path / "rates.txt"
-    dump_rate_matrix(Q, path)
-    entries = {}
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        entries[(int(r), int(c))] = float(v)
-    dense = Q.toarray()
-    for (r, c), v in entries.items():
-        assert dense[r, c] == v
-    assert len(entries) == sp.csr_matrix(Q).nnz
 
 
 def test_gap_identity_on_gasket_and_percolation_cluster():
