@@ -52,8 +52,11 @@ __all__ = [
     "VERIFY_CHECKS",
 ]
 
-EXACT_MODE_STATE_CAP = 200_000
 WORST_START_ENUM_MAX_N = 16
+# required fields of each graph kind; conductance and label are optional
+_GRAPH_FIELDS = {"path": ("size",), "cycle": ("size",), "complete": ("size",),
+                 "torus": ("dims",), "sierpinski": ("level",),
+                 "percolation_box": ("dims", "p_open", "seed"), "custom": ("path",)}
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,13 @@ def _number(key: str, value, kind):
     raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
 
 
+def _numbers(key: str, value, kind):
+    """The list ``value`` with each entry coerced by :func:`_number`."""
+    if not isinstance(value, list):
+        raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+    return [_number(key, v, kind) for v in value]
+
+
 def load_config(path) -> ExperimentConfig:
     """Read a YAML experiment config.
 
@@ -128,17 +138,25 @@ def load_config(path) -> ExperimentConfig:
             kwargs[key] = _number(key, kwargs[key], kind)
     for key, kind in _NUMBER_LIST_KEYS.items():
         if key in kwargs:
-            if not isinstance(kwargs[key], list):
-                raise ValueError(f"config key {key!r} must be a list, got {kwargs[key]!r}")
-            kwargs[key] = [_number(key, v, kind) for v in kwargs[key]]
+            kwargs[key] = _numbers(key, kwargs[key], kind)
     return ExperimentConfig(**kwargs)
 
 
 def resolve_graph(spec: dict) -> WeightedGraph:
+    """The graph of a ``graph`` spec; a bad field raises a ValueError naming it."""
     spec = dict(spec)
     spec.pop("label", None)
-    kind = spec.pop("kind")
-    if kind == "custom" and "path" in spec:
+    kind = spec.pop("kind", None)
+    if kind not in _GRAPH_FIELDS:
+        raise ValueError(f"config key 'graph' has kind {kind!r}, not one of {list(_GRAPH_FIELDS)}")
+    fields = _GRAPH_FIELDS[kind]
+    bad = ([f"needs field {f!r}" for f in fields if f not in spec]
+           + [f"has unknown field {f!r}" for f in sorted(set(spec) - set(fields) - {"conductance"})])
+    if bad:
+        raise ValueError(f"config key 'graph' of kind {kind!r} {' and '.join(bad)}")
+    if "dims" in spec:
+        spec["dims"] = _numbers("graph.dims", spec["dims"], int)
+    if kind == "custom":
         spec["edge_list"] = load_edge_list(spec.pop("path"))
     return build_graph(kind, **spec)
 
@@ -384,6 +402,8 @@ def run_cutoff_bin(config: ExperimentConfig):
     Wilson bound.  Rows tagged ``tmix``,
     ``t_plus``, ``t_minus`` annotate the reference times.
     """
+    if any(C < 0 for C in config.window_C):
+        raise ValueError(f"config key 'window_C' must be nonnegative, got {config.window_C}")
     graph = resolve_graph(config.graph)
     weights = resolve_weights(config.weights, graph.n)
     spec1 = distances.single_particle_spectrum(graph, weights)
@@ -393,7 +413,7 @@ def run_cutoff_bin(config: ExperimentConfig):
         times = resolve_time_grid(config.times, t_rel, k)
         size = math.comb(graph.n + k - 1, k)
         starts = _worst_dirac_starts(graph, config.seed)
-        if size <= EXACT_MODE_STATE_CAP:
+        if size <= spectral.DEFAULT_TRANSIENT_CAP:
             space = spectral.enumerate_configs(graph.n, k)
             piles = np.zeros((len(starts), graph.n), dtype=np.int64)
             piles[np.arange(len(starts)), starts] = k
@@ -440,7 +460,9 @@ def _resolve_eta0(config: ExperimentConfig, graph: WeightedGraph) -> np.ndarray:
     if eta0 is None:
         eta0 = {"dirac": 0}
     n = graph.n
-    if isinstance(eta0, dict) and "dirac" in eta0:
+    if isinstance(eta0, dict):
+        if set(eta0) != {"dirac"}:
+            raise ValueError(f"config key 'eta0' must be a vector or {{dirac: vertex}}, got {eta0}")
         v = int(eta0["dirac"])
         if not 0 <= v < n:
             raise ValueError(f"config key 'eta0' puts its dirac on vertex {v} of a graph "

@@ -10,10 +10,11 @@ their times, so replica r, which owns the Philox stream keyed by
 a Poisson(C dt) event count, one uniform mark per event (the mark picks the
 edge by conductance), then the redistribution draws of those events in event
 order (splitting dynamics only).  A ``fast_binomial`` redistribution is one
-binomial draw; the per-particle mode consumes one uniform per pooled particle
-in canonical (color ascending by source vertex, particle index) order, which
-makes the color-blind sum of a multicolored run coincide pathwise with an
-uncolored run under the same seed.  ``STREAM_LAYOUT`` numbers this layout.
+binomial draw.  The per-particle runs, unlabeled and multicolored, are views
+of one labeled run from the particles sorted by source vertex, where each
+coordinate on the edge draws one uniform in coordinate order; so the
+color-blind sum of a multicolored run coincides pathwise with an uncolored
+run under the same seed.  ``STREAM_LAYOUT`` (still 2) numbers this layout.
 Averaging replicas advance in lockstep batches (``simulate_averaging_batch``)
 whose rows are bit-identical to the replicas run alone.
 """
@@ -196,19 +197,13 @@ def simulate_averaging(graph: WeightedGraph, weights: SiteWeights, eta0,
     return list(states[0])
 
 
-def _redistribute_counts(state, x: int, y: int, p: float, mode: str,
-                         rng: np.random.Generator) -> None:
-    """Re-split the particles sitting on one edge of a single occupation list."""
+def _redistribute_counts(state, x: int, y: int, p: float, rng: np.random.Generator) -> None:
+    """Re-split the m particles on edge xy of an occupation list: Binomial(m, p) on x."""
     m = state[x] + state[y]
-    if mode == "fast_binomial":
-        if m == 0:
-            return
-        k_x = int(rng.binomial(m, p))
-    else:
-        u = rng.random(m)
-        k_x = int(np.count_nonzero(u < p))
-    state[x] = k_x
-    state[y] = m - k_x
+    if m == 0:
+        return
+    k_x = int(rng.binomial(m, p))
+    state[x], state[y] = k_x, m - k_x
 
 
 def _run_replica(graph: WeightedGraph, weights: SiteWeights, opts: SimOptions,
@@ -231,15 +226,26 @@ def _run_replica(graph: WeightedGraph, weights: SiteWeights, opts: SimOptions,
     return out
 
 
+def _counts(n: int, xi0) -> list:
+    """The occupation vector ``xi0`` as a list of n nonnegative ints."""
+    xi = [int(v) for v in np.asarray(xi0)]
+    if len(xi) != n or min(xi) < 0:
+        raise ValueError(f"occupation counts must be a nonnegative vector of length {n}")
+    return xi
+
+
 def simulate_splitting(graph: WeightedGraph, weights: SiteWeights, xi0,
                        opts: SimOptions):
-    """Occupation vectors of the unlabeled particle system at record times."""
-    xi = [int(v) for v in np.asarray(xi0)]
-    if any(v < 0 for v in xi):
-        raise ValueError("occupation counts must be nonnegative")
-    mode = opts.coupling_mode
+    """Occupation vectors of the unlabeled particle system at record times (in
+    the per-particle mode, the counts of the labeled run of xi0's particles)."""
+    n = graph.n
+    xi = _counts(n, xi0)
+    if opts.coupling_mode == "per_particle_bernoulli":
+        particles = np.repeat(np.arange(n), xi)
+        return [np.bincount(xs, minlength=n)
+                for xs in simulate_splitting_labeled(graph, weights, particles, opts)]
     return _run_replica(graph, weights, opts,
-                        lambda x, y, p, rng: _redistribute_counts(xi, x, y, p, mode, rng),
+                        lambda x, y, p, rng: _redistribute_counts(xi, x, y, p, rng),
                         lambda: np.array(xi, dtype=np.int64))
 
 
@@ -247,56 +253,30 @@ def simulate_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, xs0,
                                opts: SimOptions):
     """Position tuples of the labeled particle system at record times.
 
-    Coordinates on the updated edge are re-placed independently, consuming
-    one uniform per affected coordinate in coordinate order.
+    At an event on xy every coordinate on x or y draws one uniform, in
+    coordinate order, and goes to x when it is below p.
     """
     xs = [int(v) for v in xs0]
 
     def update(x, y, p, rng):
         active = [j for j, v in enumerate(xs) if v == x or v == y]
         if active:
-            u = rng.random(len(active))
-            for t_idx, j in enumerate(active):
-                xs[j] = x if u[t_idx] < p else y
+            for j, u in zip(active, rng.random(len(active)).tolist()):
+                xs[j] = x if u < p else y
 
     return _run_replica(graph, weights, opts, update, lambda: tuple(xs))
 
 
 def simulate_multicolored(graph: WeightedGraph, weights: SiteWeights, xi0,
                           opts: SimOptions):
-    """Color-resolved occupation matrices (color z = source vertex) at record
-    times, all colors driven by one shared edge-update stream.
-
-    Starts from the grand coupling of the configuration ``xi0``: the xi0(z)
-    particles initially on vertex z carry color z.  Requires the
-    per-particle coupling mode, because all colors must consume the shared
-    per-particle draws; the faster single-binomial mode would break the
-    pathwise color-sum identity.
-    """
+    """Color-resolved occupation matrices (row = color z = source vertex,
+    column = vertex) at record times: the counts of the labeled run of xi0's
+    particles sorted by color, so each color on an edge draws one consecutive
+    block of the event's uniforms.  Requires the per-particle coupling mode."""
     if opts.coupling_mode != "per_particle_bernoulli":
-        raise ValueError(
-            "multicolored runs require coupling_mode='per_particle_bernoulli': "
-            "colors share one per-particle draw stream, so the color-blind sum "
-            "reproduces the uncolored run pathwise"
-        )
+        raise ValueError("multicolored runs require coupling_mode='per_particle_bernoulli': "
+                         "the color-blind sum must reproduce the uncolored run pathwise")
     n = graph.n
-    xi0 = np.asarray(xi0, dtype=np.int64)
-    state = np.zeros((n, n), dtype=np.int64)  # row = color, col = vertex
-    for z in range(n):
-        state[z, z] = xi0[z]
-
-    def update(x, y, p, rng):
-        m_per_color = state[:, x] + state[:, y]
-        u = rng.random(int(m_per_color.sum()))
-        offset = 0
-        for z in range(n):
-            m_z = int(m_per_color[z])
-            if m_z == 0:
-                continue
-            k_x = int(np.count_nonzero(u[offset:offset + m_z] < p))
-            offset += m_z
-            state[z, x] = k_x
-            state[z, y] = m_z - k_x
-
-    return _run_replica(graph, weights, opts, update, state.copy)
-
+    color = np.repeat(np.arange(n), _counts(n, xi0))
+    return [np.bincount(color * n + np.array(xs, dtype=np.int64), minlength=n * n).reshape(n, n)
+            for xs in simulate_splitting_labeled(graph, weights, color, opts)]

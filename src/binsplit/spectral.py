@@ -166,25 +166,6 @@ def multinomial_measure(weights, k: int, space: UnlabeledSpace) -> np.ndarray:
     return out
 
 
-def _edge_split_prob(pi: np.ndarray, x: int, y: int) -> float:
-    return float(pi[x] / (pi[x] + pi[y]))
-
-
-def _binom_pmf_table(m: int, p: float) -> np.ndarray:
-    j = np.arange(m + 1)
-    logc = gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
-    if p == 0.0:
-        out = np.zeros(m + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(m + 1)
-        out[m] = 1.0
-        return out
-    logp = logc + j * math.log(p) + (m - j) * math.log1p(-p)
-    return np.exp(logp)
-
-
 def generator_single_particle(graph: WeightedGraph, weights: SiteWeights) -> sp.csr_matrix:
     """Rate matrix of one particle: an edge event at xy re-places a particle
     sitting on either endpoint to x with probability pi(x)/(pi(x)+pi(y))."""
@@ -195,9 +176,10 @@ def split_moves(space: UnlabeledSpace, x: int, y: int, p: float):
     """Every jump of one edge event at xy with split probability p.
 
     The m = xi(x)+xi(y) pooled particles re-split with j on x with probability
-    Binomial(m, p)(j).  Returns (src, dst, prob, stay): the source and target
-    indices and the probability of each jump that changes the configuration,
-    and per configuration the probability of reproducing the current split.
+    Binomial(m, p)(j), read from one table pmf[m, j] (zero where j > m).
+    Returns (src, dst, prob, stay): the source and target indices and the
+    probability of each jump that changes the configuration, and per
+    configuration the probability of reproducing the current split.
     Moving particles between x and y changes the ``left`` counts of the sites
     from min(x, y) to max(x, y) - 1 only, so the target rank is the source
     rank plus the change of those terms.
@@ -209,9 +191,11 @@ def split_moves(space: UnlabeledSpace, x: int, y: int, p: float):
     lo, hi = min(x, y), max(x, y)
     cur = xi[:, x]
     m = cur + xi[:, y]
-    pmf = np.zeros((k + 1, k + 1))
-    for mm in range(k + 1):
-        pmf[mm, :mm + 1] = _binom_pmf_table(mm, p)
+    js, ms = np.arange(k + 1), np.arange(k + 1)[:, None]
+    # log1p(-1) raises: at p = 1 every particle goes to x
+    tail = (ms - js) * math.log1p(-p) if p < 1.0 else np.where(js < ms, -np.inf, 0.0)
+    pmf = np.tril(np.exp(gammaln(ms + 1) - gammaln(js + 1) - gammaln(ms - js + 1)
+                         + xlogy(js, p) + tail))
     stay = pmf[m, cur]
     sites = np.arange(hi - lo)
     terms = space._terms[lo:hi]
@@ -248,7 +232,7 @@ def generator_splitting(graph: WeightedGraph, weights: SiteWeights, k: int,
     rows, cols, vals = [], [], []
     diag = np.zeros(size)
     for (x, y, c) in graph.edges:
-        src, dst, prob, stay = split_moves(space, x, y, _edge_split_prob(pi, x, y))
+        src, dst, prob, stay = split_moves(space, x, y, pi[x] / (pi[x] + pi[y]))
         diag -= c * (1.0 - stay)
         rows.append(src)
         cols.append(dst)

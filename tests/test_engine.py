@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import gammaln
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +22,31 @@ from binsplit.distances import (pair_kernel_max_dev, single_particle_spectrum,
 from binsplit.duality import edge_redistribution_average
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph, site_weights,
                              torus_graph, uniform_weights)
-from binsplit.spectral import (_Uniformization, _binom_pmf_table, _edge_split_prob,
-                               _poisson_terms, enumerate_configs, evolve_observable,
-                               generator_single_particle, generator_splitting,
-                               generator_splitting_labeled, labeled_states,
-                               product_weights, split_moves, transient_distribution)
+from binsplit.spectral import (_Uniformization, _poisson_terms, enumerate_configs,
+                               evolve_observable, generator_single_particle,
+                               generator_splitting, generator_splitting_labeled,
+                               labeled_states, product_weights, split_moves,
+                               transient_distribution)
+
+
+def _edge_split_prob(pi, x, y):
+    return float(pi[x] / (pi[x] + pi[y]))
+
+
+def _binom_pmf_table(m, p):
+    """Reference Binomial(m, p) row, built alone, with p in {0, 1} special-cased."""
+    j = np.arange(m + 1)
+    logc = gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
+    if p == 0.0:
+        out = np.zeros(m + 1)
+        out[0] = 1.0
+        return out
+    if p == 1.0:
+        out = np.zeros(m + 1)
+        out[m] = 1.0
+        return out
+    logp = logc + j * math.log(p) + (m - j) * math.log1p(-p)
+    return np.exp(logp)
 
 
 def generator_splitting_loop(graph, weights, k, space):
@@ -227,6 +248,24 @@ def test_split_moves_either_orientation():
     K = kernel(0, 2, p)
     assert np.allclose(K, kernel(2, 0, 1.0 - p), atol=1e-15)
     assert np.allclose(K.sum(axis=1), 1.0, atol=1e-14)
+
+
+def test_split_table_rows_equal_reference_rows():
+    # on the edge (0, 1) of three sites every pooled count m <= k occurs, and
+    # each configuration's stay and jump probabilities spell out row m
+    k = 12
+    space = enumerate_configs(3, k)
+    cur, m = space.configs[:, 0], space.configs[:, 0] + space.configs[:, 1]
+    ps = [0.0, 1.0, 0.5, 1e-17, 1.0 - 1e-16] + np.random.default_rng(8).random(300).tolist()
+    for p in ps:
+        src, dst, prob, stay = split_moves(space, 0, 1, p)
+        rows = np.zeros((space.size, k + 1))
+        rows[np.arange(space.size), cur] = stay
+        rows[src, space.configs[dst, 0]] = prob
+        for mm in range(k + 1):
+            i = np.flatnonzero(m == mm)
+            assert np.array_equal(rows[i, :mm + 1],
+                                  np.broadcast_to(_binom_pmf_table(mm, p), (i.size, mm + 1)))
 
 
 def test_block_of_starts_equals_each_alone():

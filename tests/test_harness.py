@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from binsplit import averaging, harness
+from binsplit import averaging, harness, spectral
 from binsplit.cli import main as cli_main
 from binsplit.graphs import uniform_weights
 from binsplit.harness import (ExperimentConfig, ProfileRecord,
@@ -137,13 +137,12 @@ def test_cutoff_runner_bound_mode_and_precutoff_rows():
         times={"mode": "absolute", "values": [1.0, 2.0]},
         seed=6,
     )
-    import binsplit.harness as hmod
-    old_cap = hmod.EXACT_MODE_STATE_CAP
-    hmod.EXACT_MODE_STATE_CAP = 10
+    old_cap = spectral.DEFAULT_TRANSIENT_CAP
+    spectral.DEFAULT_TRANSIENT_CAP = 10
     try:
         records = run_cutoff_bin(cfg)
     finally:
-        hmod.EXACT_MODE_STATE_CAP = old_cap
+        spectral.DEFAULT_TRANSIENT_CAP = old_cap
     kinds = {r.kind for r in records}
     assert "upper" in kinds and "lower" in kinds and "exact_tv" not in kinds
     uppers = {r.t: r.value for r in records if r.kind == "upper"}
@@ -397,3 +396,30 @@ def test_eta0_out_of_range_or_wrong_length_names_its_key(eta0, message):
     cfg = ExperimentConfig(graph={"kind": "cycle", "size": 8}, eta0=eta0, replicas=100)
     with pytest.raises(ValueError, match=message):
         run_avg_profile(cfg)
+
+
+@pytest.mark.parametrize("graph, eta0, message", [
+    ({"kind": "cycle"}, None, "'graph' of kind 'cycle' needs field 'size'"),
+    ({"kind": "torus", "dims": 5}, None, "'graph.dims' must be a list, got 5"),
+    ({"kind": "cycle", "sise": 5}, None,
+     "'graph' of kind 'cycle' needs field 'size' and has unknown field 'sise'"),
+    ({"kind": "percolation_box", "dims": [4, 4], "seed": 1}, None,
+     "'graph' of kind 'percolation_box' needs field 'p_open'"),
+    ({"kind": "cycle", "size": 8}, {"dirc": 1}, r"'eta0' must be a vector or \{dirac: vertex\}"),
+])
+def test_bad_graph_field_or_eta0_names_its_key(graph, eta0, message):
+    cfg = ExperimentConfig(graph=graph, eta0=eta0, replicas=100)
+    with pytest.raises(ValueError, match=message):
+        run_avg_profile(cfg)
+
+
+def test_negative_window_constant_is_rejected(tmp_path, monkeypatch):
+    # rejected before any work: the runner never builds the graph
+    monkeypatch.setattr(harness, "resolve_graph", None)
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 4}, k=[3], window_C=[1.0, -1.0])
+    with pytest.raises(ValueError, match="'window_C' must be nonnegative"):
+        run_cutoff_bin(cfg)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("graph: {kind: cycle, size: 4}\nk: [3]\nwindow_C: [-1.0]\n")
+    with pytest.raises(ValueError, match="'window_C' must be nonnegative"):
+        run_cutoff_bin(load_config(cfg_path))

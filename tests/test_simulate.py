@@ -4,7 +4,8 @@ from scipy.stats import binom, chi2
 
 from binsplit.averaging import transport_norm
 from binsplit.distances import single_particle_spectrum, tv_distance
-from binsplit.graphs import cycle_graph, path_graph, site_weights, uniform_weights
+from binsplit.graphs import (complete_graph, cycle_graph, path_graph, site_weights,
+                             uniform_weights)
 from binsplit import simulate
 from binsplit.simulate import (STREAM_LAYOUT, SimOptions, make_rng,
                                simulate_averaging,
@@ -30,7 +31,7 @@ def test_splitting_edge_step_chi_square_gof():
     counts = np.zeros(m + 1, dtype=np.int64)
     for _ in range(draws):
         state = [m, 0]
-        simulate._redistribute_counts(state, 0, 1, p, "fast_binomial", rng)
+        simulate._redistribute_counts(state, 0, 1, p, rng)
         assert state[0] + state[1] == m
         counts[state[0]] += 1
     expected = binom.pmf(np.arange(m + 1), m, p) * draws
@@ -225,6 +226,102 @@ def test_labeled_exchangeability_pathwise():
         for u, v in zip(a, b):
             assert np.array_equal(np.bincount(u, minlength=3),
                                   np.bincount(v, minlength=3))
+
+
+def _counting_reference(graph, weights, xi0, opts):
+    """The unlabeled run with its own counting update: the per-particle mode
+    draws one uniform per pooled particle and puts the count below p on x."""
+    xi = [int(v) for v in xi0]
+
+    def update(x, y, p, rng):
+        m = xi[x] + xi[y]
+        if opts.coupling_mode == "fast_binomial":
+            if m == 0:
+                return
+            k_x = int(rng.binomial(m, p))
+        else:
+            k_x = int(np.count_nonzero(rng.random(m) < p))
+        xi[x], xi[y] = k_x, m - k_x
+
+    return simulate._run_replica(graph, weights, opts, update,
+                                 lambda: np.array(xi, dtype=np.int64))
+
+
+def _labeled_reference(graph, weights, xs0, opts):
+    xs = [int(v) for v in xs0]
+
+    def update(x, y, p, rng):
+        active = [j for j, v in enumerate(xs) if v == x or v == y]
+        if active:
+            u = rng.random(len(active))
+            for t_idx, j in enumerate(active):
+                xs[j] = x if u[t_idx] < p else y
+
+    return simulate._run_replica(graph, weights, opts, update, lambda: tuple(xs))
+
+
+def _multicolored_reference(graph, weights, xi0, opts):
+    """Per-color counts: the pooled uniforms of an event are split into one
+    consecutive block per color, colors ascending."""
+    n = graph.n
+    state = np.diag(np.asarray(xi0, dtype=np.int64))  # row = color, col = vertex
+
+    def update(x, y, p, rng):
+        m_per_color = state[:, x] + state[:, y]
+        u = rng.random(int(m_per_color.sum()))
+        offset = 0
+        for z in range(n):
+            m_z = int(m_per_color[z])
+            if m_z == 0:
+                continue
+            k_x = int(np.count_nonzero(u[offset:offset + m_z] < p))
+            offset += m_z
+            state[z, x] = k_x
+            state[z, y] = m_z - k_x
+
+    return simulate._run_replica(graph, weights, opts, update, state.copy)
+
+
+@pytest.mark.parametrize("graph", [path_graph(2), path_graph(3), cycle_graph(4),
+                                   cycle_graph(5), complete_graph(6)],
+                         ids=["path2", "path3", "cycle4", "cycle5", "complete6"])
+def test_per_particle_views_equal_reference_updates(graph):
+    # the per-particle unlabeled and multicolored runs count the one labeled
+    # run; they equal their own count updates bit for bit, stream included
+    rng = np.random.default_rng(19)
+    times = (0.3, 1.0, 2.5, 10.0)
+    for weights in (uniform_weights(graph.n), site_weights(rng.random(graph.n) + 0.1)):
+        for rep in range(40):
+            k = 0 if rep == 0 else int(rng.integers(1, 6))
+            xi0 = np.bincount(rng.integers(0, graph.n, size=k), minlength=graph.n)
+            xs0 = rng.integers(0, graph.n, size=k)
+            for mode in ("fast_binomial", "per_particle_bernoulli"):
+                opts = SimOptions(record_times=times, seed=19, replica_id=rep,
+                                  coupling_mode=mode)
+                got = simulate_splitting(graph, weights, xi0, opts)
+                ref = _counting_reference(graph, weights, xi0, opts)
+                assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                           for a, b in zip(got, ref, strict=True))
+                assert (simulate_splitting_labeled(graph, weights, xs0, opts)
+                        == _labeled_reference(graph, weights, xs0, opts))
+            # opts is now the per-particle mode, the one multicolored runs take
+            got = simulate_multicolored(graph, weights, xi0, opts)
+            ref = _multicolored_reference(graph, weights, xi0, opts)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                       for a, b in zip(got, ref, strict=True))
+
+
+def test_occupation_counts_are_checked():
+    g = path_graph(3)
+    w = uniform_weights(3)
+    for mode in ("fast_binomial", "per_particle_bernoulli"):
+        opts = SimOptions(record_times=(1.0,), coupling_mode=mode)
+        for bad in (np.array([2, -1, 1]), np.array([1, 1])):
+            with pytest.raises(ValueError, match="nonnegative vector of length 3"):
+                simulate_splitting(g, w, bad, opts)
+            if mode == "per_particle_bernoulli":
+                with pytest.raises(ValueError, match="nonnegative vector of length 3"):
+                    simulate_multicolored(g, w, bad, opts)
 
 
 def test_multicolored_requires_coupled_mode():
