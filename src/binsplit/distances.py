@@ -54,6 +54,7 @@ __all__ = [
     "tv_bound_from_l2",
     "WilsonReport",
     "wilson_report",
+    "wilson_dirac_lower_bounds",
     "NashFit",
     "NashDiagnosis",
     "nash_fit",
@@ -301,6 +302,18 @@ def wilson_report(graph: WeightedGraph, weights: SiteWeights, k: int, eta,
                         var_eq=var_eq, mean_out=mean_out, a_t=a_t,
                         lower_bound=lower, var_out_mc=var_out,
                         mc_mean_out=mc_mean, mc_stderr=mc_stderr)
+
+
+def wilson_dirac_lower_bounds(weights: SiteWeights, k: int, times,
+                              spec: Spectrum) -> np.ndarray:
+    """:func:`wilson_report`'s lower bound for the pile of k at every vertex v
+    (rows: times, columns: v).  For eta = delta_v, <psi, eta/pi> = psi(v)
+    and max eta/pi = 1/pi(v)."""
+    psi, pi = spec.psi, weights.pi
+    growth = np.array([[math.exp(float(t) * spec.gap)] for t in times])
+    a_t = k * psi ** 2 / (1.0 + (k / pi.size) * ((1.0 / pi) ** 2 + growth))
+    with np.errstate(divide="ignore"):
+        return np.where(a_t > 0, np.maximum(0.0, 1.0 - 8.0 / a_t), 0.0)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ Vertex indexing conventions of the builders:
 * ``percolation_box``: vertices of the retained cluster keep the row-major
   box order and are re-indexed densely in increasing order.
 
+``symmetries`` proposes generators of an automorphism group: the path's
+reflection, the cycle's rotation and reflection, a unit shift and a reflection
+per torus axis, and the transposition (0 1) and n-cycle of the complete graph.
+
 Both lattices take their bonds from one enumerator of "+1 neighbour along
 each axis" pairs, and connectivity (of any graph, and of the percolation
 clusters) comes from one union-find.
@@ -34,6 +38,7 @@ __all__ = [
     "SiteWeights",
     "PercolationRetry",
     "build_graph",
+    "vertex_orbits",
     "path_graph",
     "cycle_graph",
     "torus_graph",
@@ -88,11 +93,13 @@ class WeightedGraph:
     ``edges`` is a tuple of (x, y, c_xy) with x < y after normalization.
     Derived arrays (``edge_x``, ``edge_y``, ``edge_c``) are built once;
     instances are immutable (identity-hashed, so they can key per-graph
-    caches) and safe to share across threads.
+    caches) and safe to share across threads.  ``symmetries`` holds vertex
+    permutations, unverified until :func:`vertex_orbits` checks them.
     """
 
     n: int
     edges: tuple
+    symmetries: tuple = field(default=(), repr=False)
     edge_x: np.ndarray = field(init=False, repr=False, compare=False)
     edge_y: np.ndarray = field(init=False, repr=False, compare=False)
     edge_c: np.ndarray = field(init=False, repr=False, compare=False)
@@ -199,7 +206,8 @@ def path_graph(size: int, conductance=1.0) -> WeightedGraph:
     if size < 1:
         raise ValueError("path size must be >= 1")
     pairs = [(i, i + 1) for i in range(size - 1)]
-    return WeightedGraph(size, tuple(_apply_conductance(pairs, conductance)))
+    return WeightedGraph(size, tuple(_apply_conductance(pairs, conductance)),
+                         (np.arange(size)[::-1],))
 
 
 def cycle_graph(size: int, conductance=1.0) -> WeightedGraph:
@@ -210,7 +218,9 @@ def cycle_graph(size: int, conductance=1.0) -> WeightedGraph:
         pairs = [(0, 1)]
     else:
         pairs = [(i, (i + 1) % size) for i in range(size)]
-    return WeightedGraph(size, tuple(_apply_conductance(pairs, conductance)))
+    v = np.arange(size)
+    return WeightedGraph(size, tuple(_apply_conductance(pairs, conductance)),
+                         ((v + 1) % size, -v % size))
 
 
 def torus_graph(dims, conductance=1.0) -> WeightedGraph:
@@ -224,14 +234,19 @@ def torus_graph(dims, conductance=1.0) -> WeightedGraph:
         raise ValueError("torus dims must be >= 1")
     bonds = _lattice_bonds(dims, wrap=True).tolist()
     pairs = sorted({(min(x, y), max(x, y)) for x, y in bonds})
-    return WeightedGraph(int(np.prod(dims)), tuple(_apply_conductance(pairs, conductance)))
+    idx = np.arange(int(np.prod(dims))).reshape(dims)
+    moves = tuple(m.ravel() for ax in range(len(dims))
+                  for m in (np.roll(idx, -1, axis=ax), np.flip(idx, axis=ax)))
+    return WeightedGraph(idx.size, tuple(_apply_conductance(pairs, conductance)), moves)
 
 
 def complete_graph(size: int, conductance=1.0) -> WeightedGraph:
     if size < 2:
         raise ValueError("complete graph size must be >= 2")
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    return WeightedGraph(size, tuple(_apply_conductance(pairs, conductance)))
+    v = np.arange(size)
+    return WeightedGraph(size, tuple(_apply_conductance(pairs, conductance)),
+                         (np.r_[1, 0, v[2:]], (v + 1) % size))
 
 
 def sierpinski_graph(level: int, conductance=1.0) -> WeightedGraph:
@@ -347,6 +362,26 @@ def build_graph(kind: str, *, size=None, dims=None, level=None, p_open=None,
             raise ValueError("percolation_box needs a seed")
         return percolation_box_graph(dims, p_open, seed, conductance)
     raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def vertex_orbits(graph: WeightedGraph, weights: SiteWeights) -> np.ndarray:
+    """Union-find root of every vertex under the graph's ``symmetries`` that
+    are exact automorphisms: pi[s] == pi, and the sorted (min, max) keys of
+    the image edges (s x, s y) equal the edge keys, with the same
+    conductances.  A dropped generator only splits orbits; with none kept,
+    every vertex is its own orbit."""
+    n = graph.n
+    keys = graph.edge_x * n + graph.edge_y
+    order = np.argsort(keys)
+    pairs = []
+    for s in map(np.asarray, graph.symmetries):
+        sx, sy = s[graph.edge_x], s[graph.edge_y]
+        image = np.minimum(sx, sy) * n + np.maximum(sx, sy)
+        moved = np.argsort(image)
+        if (np.array_equal(weights.pi[s], weights.pi) and np.array_equal(image[moved], keys[order])
+                and np.array_equal(graph.edge_c[moved], graph.edge_c[order])):
+            pairs += zip(range(n), s.tolist())
+    return _cluster_roots(n, pairs)
 
 
 def load_edge_list(path) -> list:

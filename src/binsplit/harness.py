@@ -23,7 +23,7 @@ import yaml
 
 from . import averaging, distances, duality, simulate, spectral
 from .graphs import (SiteWeights, WeightedGraph, build_graph, load_edge_list,
-                     load_site_weights, site_weights, uniform_weights)
+                     load_site_weights, site_weights, uniform_weights, vertex_orbits)
 
 __all__ = [
     "ProfileRecord",
@@ -52,11 +52,14 @@ __all__ = [
     "VERIFY_CHECKS",
 ]
 
+# exact cutoff profiles start from the lowest vertex of every vertex orbit, or
+# from this many of them drawn from stream 3 of the config seed if there are more
 WORST_START_ENUM_MAX_N = 16
 # required fields of each graph kind; conductance and label are optional
 _GRAPH_FIELDS = {"path": ("size",), "cycle": ("size",), "complete": ("size",),
                  "torus": ("dims",), "sierpinski": ("level",),
                  "percolation_box": ("dims", "p_open", "seed"), "custom": ("path",)}
+_GRAPH_NUMBERS = {"size": int, "level": int, "seed": int, "p_open": float}
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,11 @@ _NUMBER_LIST_KEYS = {"k": int, "window_C": float}
 
 def _number(key: str, value, kind):
     """``value`` as ``kind``: a float key takes any non-bool number or numeric
-    string (YAML reads ``1e-09`` as a string), an int key takes an int only.
+    string (YAML reads ``1e-09`` as a string), an int key a Python or numpy int only.
     Anything else raises a ValueError naming ``key``."""
     if not isinstance(value, bool):
-        if kind is int and isinstance(value, int):
-            return value
+        if kind is int and isinstance(value, (int, np.integer)):
+            return int(value)
         if kind is float:
             try:
                 return float(value)
@@ -156,6 +159,8 @@ def resolve_graph(spec: dict) -> WeightedGraph:
         raise ValueError(f"config key 'graph' of kind {kind!r} {' and '.join(bad)}")
     if "dims" in spec:
         spec["dims"] = _numbers("graph.dims", spec["dims"], int)
+    for name in [f for f in _GRAPH_NUMBERS if f in spec]:
+        spec[name] = _number(f"graph.{name}", spec[name], _GRAPH_NUMBERS[name])
     if kind == "custom":
         spec["edge_list"] = load_edge_list(spec.pop("path"))
     return build_graph(kind, **spec)
@@ -168,7 +173,7 @@ def resolve_weights(spec: dict, n: int) -> SiteWeights:
     if kind == "file":
         weights = load_site_weights(spec["path"])
     elif kind == "values":
-        weights = site_weights(spec["values"])
+        weights = site_weights(_numbers("weights.values", spec.get("values"), float))
     else:
         raise ValueError(f"unknown weights kind {kind!r}")
     if weights.n != n:
@@ -385,22 +390,27 @@ def run_gap_sweep(config: ExperimentConfig):
     return rows
 
 
-def _worst_dirac_starts(graph: WeightedGraph, seed: int):
-    if graph.n <= WORST_START_ENUM_MAX_N:
-        return list(range(graph.n))
+def _worst_dirac_starts(graph: WeightedGraph, weights: SiteWeights, seed: int):
+    """The lowest vertex of each vertex orbit, ascending; a sorted sample of
+    WORST_START_ENUM_MAX_N of them when there are more orbits."""
+    reps = np.sort(np.unique(vertex_orbits(graph, weights), return_index=True)[1])
+    if reps.size <= WORST_START_ENUM_MAX_N:
+        return reps.tolist()
     rng = simulate.make_rng(seed, 0, stream=3)
-    return sorted(rng.choice(graph.n, size=WORST_START_ENUM_MAX_N, replace=False).tolist())
+    return reps[np.sort(rng.choice(reps.size, size=WORST_START_ENUM_MAX_N,
+                                   replace=False))].tolist()
 
 
 def run_cutoff_bin(config: ExperimentConfig):
     """Worst-start TV profiles of the particle system for each k.
 
-    Exact profiles (all particles piled on one vertex, worst over starts)
-    when the occupation space fits; otherwise the upper/lower bracket from
-    the averaged L^2 error and Wilson's statistic, with the two-particle
-    kernel built once per k and the single-particle spectrum reused by every
-    Wilson bound.  Rows tagged ``tmix``,
-    ``t_plus``, ``t_minus`` annotate the reference times.
+    Exact profiles when the occupation space fits: the worst over piles of
+    all k particles on one vertex, one per vertex orbit, since an automorphism
+    maps one pile's law onto its image's and fixes the equilibrium (see
+    ``WORST_START_ENUM_MAX_N``).  Otherwise the upper/lower bracket from the
+    averaged L^2 error and Wilson's statistic, with the two-particle kernel
+    built once per k and the Wilson bound maximized over all Diracs.  Rows
+    tagged ``tmix``, ``t_plus``, ``t_minus`` annotate the reference times.
     """
     if any(C < 0 for C in config.window_C):
         raise ValueError(f"config key 'window_C' must be nonnegative, got {config.window_C}")
@@ -408,11 +418,11 @@ def run_cutoff_bin(config: ExperimentConfig):
     weights = resolve_weights(config.weights, graph.n)
     spec1 = distances.single_particle_spectrum(graph, weights)
     t_rel = spec1.t_rel
+    starts = _worst_dirac_starts(graph, weights, config.seed)
     records = []
     for k in config.k:
         times = resolve_time_grid(config.times, t_rel, k)
         size = math.comb(graph.n + k - 1, k)
-        starts = _worst_dirac_starts(graph, config.seed)
         if size <= spectral.DEFAULT_TRANSIENT_CAP:
             space = spectral.enumerate_configs(graph.n, k)
             piles = np.zeros((len(starts), graph.n), dtype=np.int64)
@@ -425,16 +435,11 @@ def run_cutoff_bin(config: ExperimentConfig):
         else:
             w2s = distances.worst_l2_sq(graph, weights, times, config.tol,
                                         seed=config.seed)
-            for t, w2 in zip(times, w2s):
+            lowers = distances.wilson_dirac_lower_bounds(weights, k, times, spec1)
+            for t, w2, lb in zip(times, w2s, lowers.max(axis=1).tolist()):
                 records.append(ProfileRecord("cutoff", k, t, t / t_rel,
                                              distances.tv_bound_from_l2(k, w2),
                                              0.0, "upper"))
-                lb = 0.0
-                for v in starts:
-                    eta = np.zeros(graph.n)
-                    eta[v] = 1.0
-                    rep = distances.wilson_report(graph, weights, k, eta, t, spec=spec1)
-                    lb = max(lb, rep.lower_bound)
                 records.append(ProfileRecord("cutoff", k, t, t / t_rel, lb,
                                              0.0, "lower"))
         tm = mixing_time(t_rel, k) if k > 1 else 0.0
@@ -463,7 +468,7 @@ def _resolve_eta0(config: ExperimentConfig, graph: WeightedGraph) -> np.ndarray:
     if isinstance(eta0, dict):
         if set(eta0) != {"dirac"}:
             raise ValueError(f"config key 'eta0' must be a vector or {{dirac: vertex}}, got {eta0}")
-        v = int(eta0["dirac"])
+        v = _number("eta0.dirac", eta0["dirac"], int)
         if not 0 <= v < n:
             raise ValueError(f"config key 'eta0' puts its dirac on vertex {v} of a graph "
                              f"of {n} vertices")
@@ -514,8 +519,9 @@ def run_complete_cdsz(config: ExperimentConfig):
     """L^1 transport profile on the complete graph around the reference
     crossing time log(n)/(n log 2), with the crossing location reported.
 
-    All Dirac starts are equivalent by vertex symmetry, so the sup over
-    starts is realized by the single pile-at-0 profile.
+    A Dirac start stands for the sup over Dirac starts only when the
+    verified automorphisms (``graphs.vertex_orbits``) move it onto every
+    vertex; weights or conductances that break this raise, naming the key.
     """
     graph = resolve_graph(config.graph)
     n = graph.n
@@ -531,6 +537,11 @@ def run_complete_cdsz(config: ExperimentConfig):
         spec1 = distances.single_particle_spectrum(graph, weights)
         times = resolve_time_grid(tspec, spec1.t_rel)
     eta0 = _resolve_eta0(config, graph)
+    roots = vertex_orbits(graph, weights)
+    if np.count_nonzero(eta0) == 1 and np.any(roots != roots[np.argmax(eta0)]):
+        key = "weights" if np.ptp(weights.pi) else "graph.conductance"
+        raise ValueError(f"config key {key!r} breaks the vertex symmetry that makes the "
+                         f"pile at one vertex the worst Dirac start")
     means, errs = distances.wasserstein_estimate(graph, weights, eta0, times, 1.0,
                                                  config.replicas, config.seed)
     records = [ProfileRecord("cdsz", 1, t, t / t_star, float(m), float(s), "wasserstein")

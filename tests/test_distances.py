@@ -11,7 +11,8 @@ from binsplit.distances import (chi2_multinomial, evolved_density, heat_kernel,
                                 single_particle_spectrum, tv_bound_from_l2,
                                 tv_bound_multinomial, tv_distance,
                                 tv_profile_exact, wasserstein_estimate,
-                                wilson_report, worst_l2_sq)
+                                wilson_dirac_lower_bounds, wilson_report,
+                                worst_l2_sq)
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
 from binsplit.spectral import enumerate_configs, multinomial_measure
@@ -174,6 +175,25 @@ def test_wilson_report_examples():
     assert rep.mean_eq == pytest.approx(0.0, abs=1e-10)
     assert rep.var_eq == pytest.approx(7.0, abs=1e-10)
     assert rep.lower_bound >= 0.0
+
+
+@pytest.mark.parametrize("graph, raw", [
+    (torus_graph((6, 6)), np.ones(36)),
+    # a heavy endpoint: the bound is positive at small times
+    (path_graph(120), np.r_[120.0, np.ones(119)]),
+])
+def test_wilson_bounds_of_every_dirac_match_wilson_report(graph, raw):
+    w = site_weights(raw)
+    spec = single_particle_spectrum(graph, w)
+    times = [0.0, 0.01 * spec.t_rel, 0.1 * spec.t_rel, 2.0 * spec.t_rel]
+    for k in (16, 10 ** 6):
+        bounds = wilson_dirac_lower_bounds(w, k, times, spec)
+        assert bounds.shape == (len(times), graph.n)
+        for i, t in enumerate(times):
+            for v, eta in enumerate(np.eye(graph.n)):
+                ref = wilson_report(graph, w, k, eta, t, spec=spec).lower_bound
+                assert abs(bounds[i, v] - ref) <= 1e-14 * abs(ref)
+    assert (bounds.max() > 0.4) == (graph.n == 120)
 
 
 def test_l2_decomposition_examples():

@@ -365,9 +365,12 @@ def test_poisson_terms_match_scipy_stats(rate_t):
 
 
 def test_cli_import_leaves_scipy_stats_out():
+    # nor scipy.sparse.csgraph or networkx: each would add to every run's set-up time
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, binsplit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats'] "
+            "or m.split('.')[:3] == ['scipy', 'sparse', 'csgraph'] "
+            "or m.split('.')[0] == 'networkx'))")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)

@@ -413,6 +413,39 @@ def test_bad_graph_field_or_eta0_names_its_key(graph, eta0, message):
         run_avg_profile(cfg)
 
 
+@pytest.mark.parametrize("graph, weights, eta0, message", [
+    ({"kind": "cycle", "size": "5"}, None, None, "'graph.size' must be an integer, got '5'"),
+    ({"kind": "sierpinski", "level": "x"}, None, None, "'graph.level' must be an integer, got 'x'"),
+    ({"kind": "cycle", "size": 2.5}, None, None, "'graph.size' must be an integer, got 2.5"),
+    ({"kind": "percolation_box", "dims": [4, 4], "p_open": "a", "seed": 1}, None, None,
+     "'graph.p_open' must be a number, got 'a'"),
+    ({"kind": "cycle", "size": 8}, None, {"dirac": "a"}, "'eta0.dirac' must be an integer, got 'a'"),
+    ({"kind": "cycle", "size": 8}, {"kind": "values"}, None,
+     "'weights.values' must be a list, got None"),
+])
+def test_mistyped_config_field_names_its_key(graph, weights, eta0, message):
+    cfg = ExperimentConfig(graph=graph, weights=weights or {"kind": "uniform"}, eta0=eta0,
+                           replicas=100)
+    with pytest.raises(ValueError, match=message):
+        run_avg_profile(cfg)
+    # a numpy integer is an integer
+    assert harness.resolve_graph({"kind": "cycle", "size": np.int64(5)}).n == 5
+
+
+@pytest.mark.parametrize("key", ["weights", "graph.conductance"])
+def test_cdsz_rejects_a_start_that_symmetry_does_not_carry(key):
+    # the pile at 0 stands for every Dirac start only on a vertex-transitive graph
+    graph, weights = {"kind": "complete", "size": 64}, {"kind": "uniform"}
+    if key == "weights":
+        weights = {"kind": "values", "values": [2.0] + [1.0] * 63}
+    else:
+        graph["conductance"] = [2.0] + [1.0] * (64 * 63 // 2 - 1)
+    cfg = ExperimentConfig(graph=graph, weights=weights, replicas=10,
+                           times={"mode": "tstar", "multiples": [1.0]})
+    with pytest.raises(ValueError, match=f"config key '{key}' breaks the vertex symmetry"):
+        run_complete_cdsz(cfg)
+
+
 def test_negative_window_constant_is_rejected(tmp_path, monkeypatch):
     # rejected before any work: the runner never builds the graph
     monkeypatch.setattr(harness, "resolve_graph", None)
