@@ -12,7 +12,8 @@ from .spectral import (Spectrum, UnlabeledSpace, enumerate_configs,
 from .averaging import edge_update, l2_drop, transport_norm
 from .simulate import (SimOptions, make_rng, simulate_averaging,
                        simulate_averaging_batch, simulate_multicolored,
-                       simulate_splitting, simulate_splitting_labeled)
+                       simulate_splitting, simulate_splitting_batch,
+                       simulate_splitting_labeled)
 from .distances import (heat_kernel, nash_fit, tv_distance, tv_profile_exact,
                         wasserstein_estimate, wilson_report)
 

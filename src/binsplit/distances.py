@@ -14,7 +14,7 @@ from scipy.linalg import eigh
 
 from . import averaging
 from .graphs import SiteWeights, WeightedGraph
-from .simulate import SimOptions, make_rng, simulate_averaging_batch, simulate_splitting
+from .simulate import SimOptions, make_rng, simulate_averaging_batch, simulate_splitting_batch
 from .spectral import (
     DEFAULT_TRANSIENT_CAP,
     Spectrum,
@@ -288,13 +288,12 @@ def wilson_report(graph: WeightedGraph, weights: SiteWeights, k: int, eta,
     lower = max(0.0, 1.0 - 8.0 / a_t) if a_t > 0 else 0.0
     var_out = mc_mean = mc_stderr = None
     if mc_replicas > 0:
-        vals = np.empty(mc_replicas)
-        for r in range(mc_replicas):
-            init_rng = make_rng(seed, r, stream=1)
-            xi0 = init_rng.multinomial(k, eta)
-            opts = SimOptions(record_times=(t,), seed=seed, replica_id=r)
-            xi_t = simulate_splitting(graph, weights, xi0, opts)[0]
-            vals[r] = float(np.dot(psi, xi_t))
+        # replica r starts from its own multinomial draw, particles sorted by site
+        starts = np.array([np.repeat(np.arange(n), make_rng(seed, r, stream=1).multinomial(k, eta))
+                           for r in range(mc_replicas)])
+        vals = simulate_splitting_batch(graph, weights, starts,
+                                        SimOptions(record_times=(t,), seed=seed), mc_replicas,
+                                        observe=lambda pos: psi[pos].sum(axis=1))[:, 0]
         var_out = float(vals.var(ddof=1))
         mc_mean = float(vals.mean())
         mc_stderr = float(vals.std(ddof=1) / math.sqrt(mc_replicas))
@@ -450,26 +449,18 @@ def _pair_diagonal_kernels(graph: WeightedGraph, weights: SiteWeights, times,
     return kernels[np.argsort(order)].reshape(-1, n, n)
 
 
-def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t,
-                tol: float = 1e-10, n_random: int = 100, seed: int = 0):
-    """Approximate sup over starting profiles of the exact averaged squared
-    L^2 error: maximize over all Dirac profiles plus random simplex points
-    (worst cases sit at extreme points).
+def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t, tol: float = 1e-10):
+    """Sup over starting profiles of the exact averaged squared L^2 error,
+    max_eta eta^T M_t eta - 1 (clamped at 0).  The map is convex in eta, so
+    the sup over the simplex sits at a vertex: the largest diagonal entry of
+    M_t, the worst Dirac profile.
 
     ``t`` is one time, giving a float, or a sequence of times, giving a list;
     the two-particle kernel is built once for all of them.
     """
-    single = np.ndim(t) == 0
     kernels = _pair_diagonal_kernels(graph, weights, np.atleast_1d(t).tolist(), tol)
-    rng = make_rng(seed, 0, stream=2)
-    etas = [rng.dirichlet(np.ones(graph.n)) for _ in range(n_random)]
-    out = []
-    for M in kernels:
-        best = float(np.max(np.diag(M))) - 1.0
-        for eta in etas:
-            best = max(best, float(eta @ M @ eta - 1.0))
-        out.append(max(best, 0.0))
-    return out[0] if single else out
+    out = [max(float(np.max(np.diag(M))) - 1.0, 0.0) for M in kernels]
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def pair_kernel_max_dev(graph: WeightedGraph, weights: SiteWeights, t: float,

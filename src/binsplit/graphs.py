@@ -21,12 +21,11 @@ per torus axis, and the transposition (0 1) and n-cycle of the complete graph.
 
 Both lattices take their bonds from one enumerator of "+1 neighbour along
 each axis" pairs, and connectivity (of any graph, and of the percolation
-clusters) comes from one union-find.
+clusters) comes from one component labeling, by lowest vertex.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,20 +58,22 @@ class PercolationRetry(ValueError):
 
 
 def _cluster_roots(n: int, pairs) -> np.ndarray:
-    """Union-find root of every vertex 0..n-1 under the bonds ``pairs``."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    return np.array([find(v) for v in range(n)])
+    """Lowest vertex of the component of every vertex 0..n-1 under the bonds
+    ``pairs`` ((m, 2) integers).  Each round hooks every root onto a lower
+    root it is bonded to, then pointer jumping flattens the forest, until
+    every bond joins two equal labels; labels only decrease, so each
+    component ends labeled by its lowest vertex."""
+    label = np.arange(n)
+    bonds = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    while True:
+        ends = label[bonds]
+        split = ends[:, 0] != ends[:, 1]
+        if not split.any():
+            return label
+        bonds, ends = bonds[split], ends[split]
+        label[ends.max(axis=1)] = ends.min(axis=1)
+        while not np.array_equal(label[label], label):
+            label = label[label]
 
 
 def _lattice_bonds(dims, wrap: bool) -> np.ndarray:
@@ -107,29 +108,34 @@ class WeightedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        norm = []
-        seen = set()
-        for (x, y, c) in self.edges:
-            x, y = int(x), int(y)
-            if not (0 <= x < self.n and 0 <= y < self.n):
-                raise ValueError(f"edge ({x},{y}) out of range for n={self.n}")
-            if x == y:
-                raise ValueError(f"self-loop at vertex {x}")
-            c = float(c)
-            if not (c > 0.0) or not math.isfinite(c):
-                raise ValueError(f"conductance on edge ({x},{y}) must be positive, got {c}")
-            key = (min(x, y), max(x, y))
-            if key in seen:
-                raise ValueError(f"duplicate undirected edge {key}")
-            seen.add(key)
-            norm.append((key[0], key[1], c))
-        roots = _cluster_roots(self.n, (e[:2] for e in norm))
+        e = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
+        x, y, c = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2].copy()
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        keys = lo * self.n + hi
+        order = np.argsort(keys, kind="stable")
+        dup = np.zeros(len(e), dtype=bool)  # True after a key's first occurrence
+        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        out = (x < 0) | (x >= self.n) | (y < 0) | (y >= self.n)
+        bad_c = ~((c > 0.0) & np.isfinite(c))
+        bad = np.flatnonzero(out | (x == y) | bad_c | dup)
+        if bad.size:
+            # the first offending edge in input order, its checks in this order
+            i = bad[0]
+            xi, yi = int(x[i]), int(y[i])
+            if out[i]:
+                raise ValueError(f"edge ({xi},{yi}) out of range for n={self.n}")
+            if xi == yi:
+                raise ValueError(f"self-loop at vertex {xi}")
+            if bad_c[i]:
+                raise ValueError(f"conductance on edge ({xi},{yi}) must be positive, got {float(c[i])}")
+            raise ValueError(f"duplicate undirected edge {(int(lo[i]), int(hi[i]))}")
+        roots = _cluster_roots(self.n, np.stack([lo, hi], axis=1))
         if np.any(roots != roots[0]):
             raise ValueError("graph is not connected")
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "edge_x", np.array([e[0] for e in norm], dtype=np.int64))
-        object.__setattr__(self, "edge_y", np.array([e[1] for e in norm], dtype=np.int64))
-        object.__setattr__(self, "edge_c", np.array([e[2] for e in norm], dtype=float))
+        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist(), c.tolist())))
+        object.__setattr__(self, "edge_x", lo)
+        object.__setattr__(self, "edge_y", hi)
+        object.__setattr__(self, "edge_c", c)
 
     @property
     def n_edges(self) -> int:
@@ -301,7 +307,7 @@ def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> We
     bonds = _lattice_bonds(dims, wrap=False)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     open_bonds = bonds[rng.random(len(bonds)) < p_open]
-    roots = _cluster_roots(n, open_bonds.tolist())
+    roots = _cluster_roots(n, open_bonds)
     # argmax finds the lowest vertex of any largest cluster, so ties go to the
     # cluster whose smallest vertex is lowest
     root = roots[np.argmax(np.bincount(roots, minlength=n)[roots])]
@@ -365,23 +371,23 @@ def build_graph(kind: str, *, size=None, dims=None, level=None, p_open=None,
 
 
 def vertex_orbits(graph: WeightedGraph, weights: SiteWeights) -> np.ndarray:
-    """Union-find root of every vertex under the graph's ``symmetries`` that
-    are exact automorphisms: pi[s] == pi, and the sorted (min, max) keys of
-    the image edges (s x, s y) equal the edge keys, with the same
-    conductances.  A dropped generator only splits orbits; with none kept,
+    """Lowest vertex of the orbit of every vertex under the graph's
+    ``symmetries`` that are exact automorphisms: pi[s] == pi, and the sorted
+    (min, max) keys of the image edges (s x, s y) equal the edge keys, with
+    the same conductances.  A dropped generator only splits orbits; with none kept,
     every vertex is its own orbit."""
     n = graph.n
     keys = graph.edge_x * n + graph.edge_y
     order = np.argsort(keys)
-    pairs = []
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
     for s in map(np.asarray, graph.symmetries):
         sx, sy = s[graph.edge_x], s[graph.edge_y]
         image = np.minimum(sx, sy) * n + np.maximum(sx, sy)
         moved = np.argsort(image)
         if (np.array_equal(weights.pi[s], weights.pi) and np.array_equal(image[moved], keys[order])
                 and np.array_equal(graph.edge_c[moved], graph.edge_c[order])):
-            pairs += zip(range(n), s.tolist())
-    return _cluster_roots(n, pairs)
+            pairs.append(np.stack([np.arange(n), s], axis=1))
+    return _cluster_roots(n, np.concatenate(pairs))
 
 
 def load_edge_list(path) -> list:

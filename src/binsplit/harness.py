@@ -433,8 +433,7 @@ def run_cutoff_bin(config: ExperimentConfig):
                 records.append(ProfileRecord("cutoff", k, t, t / t_rel, float(d.max()),
                                              0.0, "exact_tv"))
         else:
-            w2s = distances.worst_l2_sq(graph, weights, times, config.tol,
-                                        seed=config.seed)
+            w2s = distances.worst_l2_sq(graph, weights, times, config.tol)
             lowers = distances.wilson_dirac_lower_bounds(weights, k, times, spec1)
             for t, w2, lb in zip(times, w2s, lowers.max(axis=1).tolist()):
                 records.append(ProfileRecord("cutoff", k, t, t / t_rel,
@@ -834,8 +833,7 @@ def _check_multicolored_projection():
     times = (0.3, 0.9, 1.7)
     worst = 0
     for rep in range(20):
-        opts = simulate.SimOptions(record_times=times, seed=43, replica_id=rep,
-                                   coupling_mode="per_particle_bernoulli")
+        opts = simulate.SimOptions(record_times=times, seed=43, replica_id=rep)
         colored = simulate.simulate_multicolored(graph, weights, xi0, opts)
         plain = simulate.simulate_splitting(graph, weights, xi0, opts)
         for c, p in zip(colored, plain):

@@ -3,20 +3,20 @@ splitting dynamics (unlabeled, labeled, and multicolored), with reproducible
 counter-based random streams.
 
 Independent per-edge clocks are equal in law to one Poisson clock at the
-total conductance C whose events pick edge xy with probability c_xy / C.  A
-recorded state depends only on the events before it and their edges, not on
-their times, so replica r, which owns the Philox stream keyed by
-(seed, r, stream 0), draws per record interval of length dt, in this order:
-a Poisson(C dt) event count, one uniform mark per event (the mark picks the
-edge by conductance), then the redistribution draws of those events in event
-order (splitting dynamics only).  A ``fast_binomial`` redistribution is one
-binomial draw.  The per-particle runs, unlabeled and multicolored, are views
-of one labeled run from the particles sorted by source vertex, where each
-coordinate on the edge draws one uniform in coordinate order; so the
-color-blind sum of a multicolored run coincides pathwise with an uncolored
-run under the same seed.  ``STREAM_LAYOUT`` (still 2) numbers this layout.
-Averaging replicas advance in lockstep batches (``simulate_averaging_batch``)
-whose rows are bit-identical to the replicas run alone.
+total conductance C whose events pick edge xy with probability c_xy / C, and
+a recorded state depends only on the events before it and their edges.  So
+replica r, on the Philox stream keyed by (seed, r, stream 0), draws per record
+interval of length dt a Poisson(C dt) event count, then per event, in order,
+1 + k uniforms: a mark that picks the edge by conductance, then k particle
+uniforms, of which the m particles on the edge take the first m in coordinate
+order and go to x when theirs is below x's share.  ``STREAM_LAYOUT`` (3)
+numbers this layout; the averaging dynamics are its k = 0 case, drawn as in
+layout 2.  Both dynamics run through one lockstep engine whose row r is
+bit-identical to replica r run alone.  The Binomial(m, p) re-split of the
+unlabeled process is the count of the m choices, so the unlabeled and
+multicolored runs count per vertex, or per color and vertex, the labeled run
+of the particles sorted by start vertex; the color-blind sum of a
+multicolored run is the uncolored run under the same seed.
 """
 
 from __future__ import annotations
@@ -35,19 +35,19 @@ __all__ = [
     "make_rng",
     "simulate_averaging",
     "simulate_averaging_batch",
+    "simulate_splitting_batch",
     "simulate_splitting",
     "simulate_splitting_labeled",
     "simulate_multicolored",
 ]
 
 # Version of the draw order above; results at a fixed seed change with it.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
-COUPLING_MODES = ("fast_binomial", "per_particle_bernoulli")
 DRIFT_TOL = 1e-12          # largest mass defect of a recorded averaging state
 GROUP_BYTES = 1 << 21      # working memory of one lockstep group of replicas
-MAX_HELD_MARKS = 4096      # marks one replica holds at once in a group
-MARK_BYTES = 64            # working bytes per held mark (marks, edges, indices)
+MAX_HELD_MARKS = 4096      # uniforms one replica holds at once in a group
+MARK_BYTES = 64            # working bytes per held event (mark, edge, indices)
 
 
 def make_rng(seed: int, replica_id: int = 0, stream: int = 0) -> np.random.Generator:
@@ -73,7 +73,6 @@ class SimOptions:
     record_times: tuple = ()
     seed: int = 0
     replica_id: int = 0
-    coupling_mode: str = "fast_binomial"
 
     def __post_init__(self):
         rec = tuple(float(t) for t in self.record_times)
@@ -81,8 +80,6 @@ class SimOptions:
             raise ValueError("record_times must be sorted ascending")
         if rec and rec[0] < 0.0:
             raise ValueError("record_times must be nonnegative")
-        if self.coupling_mode not in COUPLING_MODES:
-            raise ValueError(f"coupling_mode must be one of {COUPLING_MODES}")
         object.__setattr__(self, "record_times", rec)
 
 
@@ -113,32 +110,84 @@ def _sim_tables(graph: WeightedGraph, weights: SiteWeights) -> _Tables:
                    px=pi[x] / (pi[x] + pi[y]))
 
 
-def _group_shape(n: int, expected_events: float):
-    """(replicas per lockstep group, marks each of them holds at once): the
-    state rows plus the marks of the longest interval fit in GROUP_BYTES."""
-    held = int(min(MAX_HELD_MARKS, expected_events + 6.0 * math.sqrt(expected_events) + 1.0))
-    return max(1, GROUP_BYTES // (8 * n + MARK_BYTES * held)), held
+def _group_shape(cols: int, expected_events: float, width: int):
+    """(replicas per lockstep group, events each of them holds at once): a
+    row's ``cols`` state entries plus the draws of its held events, ``width``
+    uniforms each and at most MAX_HELD_MARKS uniforms in all, fit in
+    GROUP_BYTES; a row holds the events of the longest interval when it can."""
+    held = max(1, int(min(MAX_HELD_MARKS // width,
+                          expected_events + 6.0 * math.sqrt(expected_events) + 1.0)))
+    row_bytes = 8 * cols + held * (MARK_BYTES + 8 * (width - 1))
+    return max(1, GROUP_BYTES // row_bytes), held
 
 
-def _apply_marks(flat: np.ndarray, n: int, tab: _Tables, marks: np.ndarray,
-                 counts: np.ndarray) -> None:
-    """Apply row r's first counts[r] marks, in order, to row r of the
-    row-major state ``flat``; step s updates every row with an s-th mark."""
-    order = np.argsort(-counts, kind="stable")
-    ranked = counts[order]
-    steps = int(ranked[0])
-    active = np.searchsorted(-ranked, -np.arange(steps), side="left").tolist()
-    edges = tab.edges_of(marks[order, :steps]).T   # (steps, rows)
-    row0 = order * n
-    fx = tab.x[edges] + row0
-    fy = tab.y[edges] + row0
-    px = tab.px[edges]
+def _lockstep(tab: _Tables, opts: SimOptions, start: np.ndarray, width: int,
+              step, observe, guard=None) -> np.ndarray:
+    """The one replica engine: ``values[r, i]`` is row r of ``observe(block)``
+    at record time i, row r of ``start`` run as replica opts.replica_id + r.
+
+    Each row draws per interval its event count, then ``width`` uniforms per
+    event, in chunks of held events; ``step(state, order, active, x, y, px,
+    draws)`` applies a chunk, whose s-th step touches the first ``active[s]``
+    rows of ``order`` (rows by descending count): edges (x[s], y[s]) with
+    x-shares px[s], uniforms ``draws[row, s]``.  The step may overwrite x and
+    y.  ``guard(state)`` may correct states before a record.
+    """
+    replicas, cols = start.shape
+    rec = opts.record_times
+    lams = [tab.total * (t - s) for s, t in zip((0.0,) + rec, rec)]
+    group, held = _group_shape(cols, max(lams, default=0.0), width)
+    probe = np.asarray(observe(start[:1].copy()))
+    values = np.empty((replicas, len(rec)) + probe.shape[1:], probe.dtype)
+    for g0 in range(0, replicas, group):
+        rows = min(group, replicas - g0)
+        rngs = [make_rng(opts.seed, opts.replica_id + g0 + r) for r in range(rows)]
+        state = start[g0:g0 + rows].copy()
+        draws = np.zeros((rows, held, width))
+        for i, lam in enumerate(lams):
+            left = np.array([rng.poisson(lam) for rng in rngs], dtype=np.int64)
+            while left.any():
+                take = np.minimum(left, held)
+                for r in np.flatnonzero(take).tolist():
+                    rngs[r].random(out=draws[r, :take[r]])
+                order = np.argsort(-take, kind="stable")
+                ranked = take[order]
+                steps = int(ranked[0])
+                active = np.searchsorted(-ranked, -np.arange(steps), side="left").tolist()
+                e = tab.edges_of(draws[order, :steps, 0]).T
+                step(state, order, active, tab.x[e], tab.y[e], tab.px[e], draws)
+                left -= take
+            if guard is not None:
+                guard(state)
+            values[g0:g0 + rows, i] = observe(state)
+    return values
+
+
+def _apply_marks(eta: np.ndarray, order, active, x, y, px, draws) -> None:
+    """Averaging step: pool and re-split the values on each event's edge."""
+    flat = eta.reshape(-1)
+    row0 = order * eta.shape[1]
+    x += row0  # flat indices of the endpoints
+    y += row0
     for s, k in enumerate(active):
-        ix, iy = fx[s, :k], fy[s, :k]
+        ix, iy = x[s, :k], y[s, :k]
         pooled = flat[ix] + flat[iy]
         share = px[s, :k] * pooled
         flat[ix] = share
         flat[iy] = pooled - share
+
+
+def _split_particles(pos: np.ndarray, order, active, x, y, px, draws) -> None:
+    """Labeled step: the i-th particle on the event's edge xy, in coordinate
+    order, takes column i of the event's uniforms (column 0 is the mark) and
+    goes to x when it is below x's share, and to y otherwise."""
+    for s, k in enumerate(active):
+        rows = order[:k]
+        xs, ys = x[s, :k, None], y[s, :k, None]
+        cur = pos[rows]
+        on = (cur == xs) | (cur == ys)
+        to_x = draws[rows[:, None], s, np.cumsum(on, axis=1)] < px[s, :k, None]
+        pos[rows] = np.where(on, np.where(to_x, xs, ys), cur)
 
 
 def simulate_averaging_batch(graph: WeightedGraph, weights: SiteWeights, eta0,
@@ -155,37 +204,21 @@ def simulate_averaging_batch(graph: WeightedGraph, weights: SiteWeights, eta0,
     linear, so this changes them only within rounding); ``drift`` is the
     total number of rescales over all replicas.
     """
-    tab = _sim_tables(graph, weights)
     n = graph.n
     eta0 = np.asarray(eta0, dtype=float)
     if eta0.shape != (n,):
         raise ValueError(f"start must be a vector of length {n}, got shape {eta0.shape}")
-    rec = opts.record_times
-    lams = [tab.total * (t - s) for s, t in zip((0.0,) + rec, rec)]
-    group, held = _group_shape(n, max(lams, default=0.0))
-    observe = observe or np.copy
-    probe = np.asarray(observe(eta0[None, :]))
-    values = np.empty((replicas, len(rec)) + probe.shape[1:], probe.dtype)
     drift = 0
-    for g0 in range(0, replicas, group):
-        rows = min(group, replicas - g0)
-        rngs = [make_rng(opts.seed, opts.replica_id + g0 + r) for r in range(rows)]
-        eta = np.tile(eta0, (rows, 1))
-        flat = eta.reshape(-1)
-        marks = np.zeros((rows, held))
-        for i, lam in enumerate(lams):
-            left = np.array([rng.poisson(lam) for rng in rngs], dtype=np.int64)
-            while left.any():
-                take = np.minimum(left, held)
-                for r in np.flatnonzero(take).tolist():
-                    rngs[r].random(out=marks[r, :take[r]])
-                _apply_marks(flat, n, tab, marks, take)
-                left -= take
-            mass = eta.sum(axis=1)
-            off = np.abs(mass - 1.0) > DRIFT_TOL
-            eta[off] /= mass[off, None]
-            drift += int(off.sum())
-            values[g0:g0 + rows, i] = observe(eta)
+
+    def guard(eta):
+        nonlocal drift
+        mass = eta.sum(axis=1)
+        off = np.abs(mass - 1.0) > DRIFT_TOL
+        eta[off] /= mass[off, None]
+        drift += int(off.sum())
+
+    values = _lockstep(_sim_tables(graph, weights), opts, np.broadcast_to(eta0, (replicas, n)),
+                       1, _apply_marks, observe or np.copy, guard)
     return values, drift
 
 
@@ -197,33 +230,29 @@ def simulate_averaging(graph: WeightedGraph, weights: SiteWeights, eta0,
     return list(states[0])
 
 
-def _redistribute_counts(state, x: int, y: int, p: float, rng: np.random.Generator) -> None:
-    """Re-split the m particles on edge xy of an occupation list: Binomial(m, p) on x."""
-    m = state[x] + state[y]
-    if m == 0:
-        return
-    k_x = int(rng.binomial(m, p))
-    state[x], state[y] = k_x, m - k_x
+def simulate_splitting_batch(graph: WeightedGraph, weights: SiteWeights, xs0,
+                             opts: SimOptions, replicas: int, observe=None):
+    """Replicas of the labeled particle system, as in
+    :func:`simulate_averaging_batch` but returning ``values`` alone, with
+    ``observe`` applied to (rows, k) blocks of positions.  ``xs0`` holds the
+    k start positions: (k,) for every replica, or (replicas, k)."""
+    raw = np.asarray(xs0)
+    pos = raw.astype(np.int64)
+    if raw.ndim not in (1, 2) or raw.ndim == 2 and raw.shape[0] != replicas:
+        raise ValueError(f"start must be (k,) or ({replicas}, k) positions, got shape {raw.shape}")
+    if np.any(pos != raw) or np.any((pos < 0) | (pos >= graph.n)):
+        raise ValueError(f"particle positions must be integers in [0, {graph.n})")
+    start = np.broadcast_to(pos, (replicas, pos.shape[-1]))
+    return _lockstep(_sim_tables(graph, weights), opts, start, 1 + start.shape[1],
+                     _split_particles, observe or np.copy)
 
 
-def _run_replica(graph: WeightedGraph, weights: SiteWeights, opts: SimOptions,
-                 update, snapshot):
-    """Drive one splitting replica: ``update(x, y, p, rng)`` for each event
-    on edge xy (p the x-side share), ``snapshot()`` at each record time.  Per
-    record interval the stream draws the event count, then all the marks,
-    then the updates' own draws in event order."""
-    rng = make_rng(opts.seed, opts.replica_id)
-    tab = _sim_tables(graph, weights)
-    exs, eys, pxs = tab.x.tolist(), tab.y.tolist(), tab.px.tolist()
-    out = []
-    t_prev = 0.0
-    for t in opts.record_times:
-        marks = rng.random(rng.poisson(tab.total * (t - t_prev)))
-        for e in tab.edges_of(marks).tolist():
-            update(exs[e], eys[e], pxs[e], rng)
-        out.append(snapshot())
-        t_prev = t
-    return out
+def simulate_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, xs0,
+                               opts: SimOptions):
+    """Position tuples of the labeled particle system at record times: the
+    lockstep batch of the one replica ``opts.replica_id``."""
+    return [tuple(xs) for xs in
+            simulate_splitting_batch(graph, weights, xs0, opts, 1)[0].tolist()]
 
 
 def _counts(n: int, xi0) -> list:
@@ -236,47 +265,21 @@ def _counts(n: int, xi0) -> list:
 
 def simulate_splitting(graph: WeightedGraph, weights: SiteWeights, xi0,
                        opts: SimOptions):
-    """Occupation vectors of the unlabeled particle system at record times (in
-    the per-particle mode, the counts of the labeled run of xi0's particles)."""
+    """Occupation vectors of the unlabeled particle system at record times:
+    the counts per vertex of the labeled run of xi0's particles."""
     n = graph.n
-    xi = _counts(n, xi0)
-    if opts.coupling_mode == "per_particle_bernoulli":
-        particles = np.repeat(np.arange(n), xi)
-        return [np.bincount(xs, minlength=n)
-                for xs in simulate_splitting_labeled(graph, weights, particles, opts)]
-    return _run_replica(graph, weights, opts,
-                        lambda x, y, p, rng: _redistribute_counts(xi, x, y, p, rng),
-                        lambda: np.array(xi, dtype=np.int64))
-
-
-def simulate_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, xs0,
-                               opts: SimOptions):
-    """Position tuples of the labeled particle system at record times.
-
-    At an event on xy every coordinate on x or y draws one uniform, in
-    coordinate order, and goes to x when it is below p.
-    """
-    xs = [int(v) for v in xs0]
-
-    def update(x, y, p, rng):
-        active = [j for j, v in enumerate(xs) if v == x or v == y]
-        if active:
-            for j, u in zip(active, rng.random(len(active)).tolist()):
-                xs[j] = x if u < p else y
-
-    return _run_replica(graph, weights, opts, update, lambda: tuple(xs))
+    particles = np.repeat(np.arange(n), _counts(n, xi0))
+    return [np.bincount(xs, minlength=n)
+            for xs in simulate_splitting_batch(graph, weights, particles, opts, 1)[0]]
 
 
 def simulate_multicolored(graph: WeightedGraph, weights: SiteWeights, xi0,
                           opts: SimOptions):
     """Color-resolved occupation matrices (row = color z = source vertex,
     column = vertex) at record times: the counts of the labeled run of xi0's
-    particles sorted by color, so each color on an edge draws one consecutive
-    block of the event's uniforms.  Requires the per-particle coupling mode."""
-    if opts.coupling_mode != "per_particle_bernoulli":
-        raise ValueError("multicolored runs require coupling_mode='per_particle_bernoulli': "
-                         "the color-blind sum must reproduce the uncolored run pathwise")
+    particles sorted by color, so each color on an edge uses one consecutive
+    block of the event's uniforms."""
     n = graph.n
     color = np.repeat(np.arange(n), _counts(n, xi0))
-    return [np.bincount(color * n + np.array(xs, dtype=np.int64), minlength=n * n).reshape(n, n)
-            for xs in simulate_splitting_labeled(graph, weights, color, opts)]
+    return [np.bincount(color * n + xs, minlength=n * n).reshape(n, n)
+            for xs in simulate_splitting_batch(graph, weights, color, opts, 1)[0]]

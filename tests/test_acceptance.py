@@ -17,7 +17,8 @@ from binsplit.distances import (chi2_multinomial, l2_decomposition,
                                 wasserstein_estimate, wilson_report, worst_l2_sq)
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
-from binsplit.simulate import SimOptions, simulate_multicolored, simulate_splitting
+from binsplit.simulate import (SimOptions, simulate_multicolored, simulate_splitting,
+                               simulate_splitting_batch)
 from binsplit.spectral import (dirichlet_defect_form, dirichlet_form,
                                dirichlet_independent_pair, enumerate_configs,
                                generator_single_particle, generator_splitting,
@@ -227,8 +228,7 @@ def test_c11_tv_sandwich_and_single_edge_profile():
             xi0[0] = k  # every pile start is equivalent on these symmetric graphs
             prof = tv_profile_exact(graph, weights, k, xi0, times, 1e-10, space)
             for t, d in prof:
-                upper = tv_bound_from_l2(k, worst_l2_sq(graph, weights, t, 1e-10,
-                                                        n_random=50))
+                upper = tv_bound_from_l2(k, worst_l2_sq(graph, weights, t, 1e-10))
                 lower = 0.0
                 for v in range(n):
                     eta = np.zeros(n)
@@ -265,27 +265,27 @@ def test_c13_multicolored_coupling():
     times = (0.4, 1.0, 2.0)
     # pathwise: the color-blind sum reproduces the uncolored run exactly
     for rep in range(1000):
-        opts = SimOptions(record_times=times, seed=1313,
-                          replica_id=rep, coupling_mode="per_particle_bernoulli")
+        opts = SimOptions(record_times=times, seed=1313, replica_id=rep)
         colored = simulate_multicolored(graph, weights, xi0, opts)
         plain = simulate_splitting(graph, weights, xi0, opts)
         for c, p in zip(colored, plain):
             assert np.array_equal(c.sum(axis=0), p)
-    # in law: each color marginal matches a direct run from its own start
+    # in law: each color marginal matches a direct run from its own start.
+    # The multicolored run from xi0 is the labeled run of its particles
+    # sorted by color, so color 0 is particles 0 and 1 of (0, 0, 1).
     reps = 100_000
     t = 1.0
     space2 = enumerate_configs(3, 2)
-    col_counts = np.zeros(space2.size)
-    dir_counts = np.zeros(space2.size)
-    for rep in range(reps):
-        opts = SimOptions(record_times=(t,), seed=77, replica_id=rep,
-                          coupling_mode="per_particle_bernoulli")
-        col = simulate_multicolored(graph, weights, xi0, opts)[0]
-        col_counts[space2.index_of(col[0])] += 1
-        opts2 = SimOptions(record_times=(t,), seed=78, replica_id=rep,
-                           coupling_mode="per_particle_bernoulli")
-        xi_t = simulate_splitting(graph, weights, np.array([2, 0, 0]), opts2)[0]
-        dir_counts[space2.index_of(xi_t)] += 1
+
+    def occupation(pos):
+        return (pos[..., None] == np.arange(3)).sum(axis=-2)
+
+    col = simulate_splitting_batch(graph, weights, (0, 0, 1),
+                                   SimOptions(record_times=(t,), seed=77), reps)
+    direct = simulate_splitting_batch(graph, weights, (0, 0),
+                                      SimOptions(record_times=(t,), seed=78), reps)
+    col_counts = np.bincount(space2.rank(occupation(col[:, 0, :2])), minlength=space2.size)
+    dir_counts = np.bincount(space2.rank(occupation(direct[:, 0])), minlength=space2.size)
     tv = 0.5 * np.abs(col_counts / reps - dir_counts / reps).sum()
     assert tv <= 0.02
 

@@ -163,7 +163,7 @@ def test_tv_bound_from_l2_examples():
         xi0[0] = k
         for t in (1.0, 2.0, 4.0):
             d = tv_profile_exact(g, w, k, xi0, [t], 1e-10, space)[0][1]
-            w2 = worst_l2_sq(g, w, t, 1e-10, n_random=40)
+            w2 = worst_l2_sq(g, w, t, 1e-10)
             assert d <= tv_bound_from_l2(k, w2) + 1e-9
 
 

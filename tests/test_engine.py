@@ -464,8 +464,8 @@ def test_worst_l2_sq_takes_times_in_any_order():
     graph = cycle_graph(4)
     weights = site_weights([0.1, 0.2, 0.3, 0.4])
     times = [0.9, 0.1, 2.5, 0.4]
-    shuffled = worst_l2_sq(graph, weights, times, n_random=5)
-    ascending = worst_l2_sq(graph, weights, sorted(times), n_random=5)
+    shuffled = worst_l2_sq(graph, weights, times)
+    ascending = worst_l2_sq(graph, weights, sorted(times))
     assert shuffled == [ascending[sorted(times).index(t)] for t in times]
 
 
@@ -486,7 +486,7 @@ def test_entry_point_rejects_bad_time_and_tol(entry):
         "evolve_observable": lambda t, tol: evolve_observable(Q, init, t, tol),
         "tv_profile_exact": lambda t, tol: tv_profile_exact(graph, weights, 2, (2, 0, 0),
                                                             [t], tol, space),
-        "worst_l2_sq": lambda t, tol: worst_l2_sq(graph, weights, t, tol, n_random=2),
+        "worst_l2_sq": lambda t, tol: worst_l2_sq(graph, weights, t, tol),
     }[entry]
     for t, shown in BAD_TIMES:
         with pytest.raises(ValueError, match=shown):

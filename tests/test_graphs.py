@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from binsplit.graphs import (PercolationRetry, SiteWeights, WeightedGraph,
+from binsplit.graphs import (PercolationRetry, SiteWeights, WeightedGraph, _cluster_roots,
                              build_graph, complete_graph, cycle_graph,
                              ellipticity_ratio, load_edge_list,
                              load_site_weights, path_graph,
@@ -76,6 +78,39 @@ def test_invalid_graphs_rejected():
         WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
     with pytest.raises(ValueError, match="not connected"):
         WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
+    # the first offending edge in input order is named, its checks in the
+    # order range, self-loop, conductance, duplicate
+    for n, edges, message in (
+            (3, ((0, 1, 1.0), (0, 5, 1.0), (1, 1, 1.0)), "edge (0,5) out of range for n=3"),
+            (3, ((0, 1, 1.0), (-1, -1, 0.0)), "edge (-1,-1) out of range for n=3"),
+            (3, ((0, 1, 1.0), (1, 1, -1.0), (1, 0, 1.0)), "self-loop at vertex 1"),
+            (3, ((0, 1, 1.0), (2, 1, math.nan), (1, 0, 1.0)),
+             "conductance on edge (2,1) must be positive, got nan"),
+            (3, ((0, 1, 1.0), (2, 1, math.inf)), "conductance on edge (2,1) must be positive, got inf"),
+            (3, ((0, 1, 1.0), (1, 2, 1.0), (2, 1, 2.0), (2, 2, 1.0)), "duplicate undirected edge (1, 2)")):
+        with pytest.raises(ValueError) as err:
+            WeightedGraph(n, edges)
+        assert str(err.value) == message
+
+
+def test_cluster_roots_label_components_by_lowest_vertex():
+    # against a union-find loop: the same components, each labeled by its
+    # lowest vertex
+    rng = np.random.default_rng(5)
+    for n, m in ((1, 0), (6, 0), (10, 4), (30, 25), (60, 200)):
+        bonds = rng.integers(0, n, size=(m, 2))
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for x, y in bonds.tolist():
+            parent[find(x)] = find(y)
+        comp = [find(v) for v in range(n)]
+        lowest = [comp.index(comp[v]) for v in range(n)]
+        assert _cluster_roots(n, bonds).tolist() == lowest
 
 
 def test_invalid_weights_rejected():

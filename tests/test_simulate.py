@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from scipy.stats import binom, chi2
@@ -10,7 +12,8 @@ from binsplit import simulate
 from binsplit.simulate import (STREAM_LAYOUT, SimOptions, make_rng,
                                simulate_averaging,
                                simulate_averaging_batch, simulate_multicolored,
-                               simulate_splitting, simulate_splitting_labeled)
+                               simulate_splitting, simulate_splitting_batch,
+                               simulate_splitting_labeled)
 from binsplit.spectral import generator_single_particle, transient_distribution
 
 
@@ -19,21 +22,24 @@ def test_sim_options_validation():
         SimOptions(record_times=(0.5, 0.2))
     with pytest.raises(ValueError, match="nonnegative"):
         SimOptions(record_times=(-0.5, 2.0))
-    with pytest.raises(ValueError):
-        SimOptions(coupling_mode="magic")
 
 
 def test_splitting_edge_step_chi_square_gof():
-    # one fast_binomial edge step of simulate_splitting against the exact pmf;
-    # merge the sparse upper tail so expected counts stay sane
+    # one edge split of the labeled step against the exact pmf: m particles
+    # on edge 01 whose x-share is p, each with its own uniform; merge the
+    # sparse upper tail so expected counts stay sane
     rng = make_rng(2)
     m, p, draws = 20, 0.37, 10 ** 6
     counts = np.zeros(m + 1, dtype=np.int64)
-    for _ in range(draws):
-        state = [m, 0]
-        simulate._redistribute_counts(state, 0, 1, p, rng)
-        assert state[0] + state[1] == m
-        counts[state[0]] += 1
+    block = 5 * 10 ** 4
+    x, y = np.zeros((1, block), dtype=np.int64), np.ones((1, block), dtype=np.int64)
+    px = np.full((1, block), p)
+    for _ in range(draws // block):
+        pos = np.zeros((block, m), dtype=np.int64)
+        simulate._split_particles(pos, np.arange(block), [block], x, y, px,
+                                  rng.random((block, 1, 1 + m)))
+        assert np.all((pos == 0) | (pos == 1))
+        counts += np.bincount(np.count_nonzero(pos == 0, axis=1), minlength=m + 1)
     expected = binom.pmf(np.arange(m + 1), m, p) * draws
     # merge bins with expected < 5 into their left neighbor
     obs, exp = [], []
@@ -52,35 +58,116 @@ def test_splitting_edge_step_chi_square_gof():
     assert stat <= chi2.ppf(1 - 0.001, dof)
 
 
-def _schedule(graph, times, seed, replica_id=0):
-    """Per record interval, the x endpoints of one replica's events."""
-    events = []
-    opts = SimOptions(record_times=times, seed=seed, replica_id=replica_id)
-    ends = simulate._run_replica(graph, uniform_weights(graph.n), opts,
-                                 lambda x, y, p, rng: events.append(x),
-                                 lambda: len(events))
-    return np.split(np.array(events), ends[:-1])
+def _events(graph, weights, times, seed, k, replica_id=0):
+    """Layout 3, one replica at a time with one Generator: per record
+    interval a Poisson(C dt) event count, then per event a block of 1 + k
+    uniforms whose first, the mark, picks the edge by conductance.  Yields
+    per interval the (x, y, p, u) of its events, p the x-side share and u
+    the k particle uniforms."""
+    rng = make_rng(seed, replica_id)
+    cum = np.cumsum(graph.edge_c).tolist()
+    total = cum[-1]
+    pi = weights.pi
+    prev = 0.0
+    for t in times:
+        events = []
+        for _ in range(rng.poisson(total * (t - prev))):
+            block = rng.random(1 + k)
+            e = min(bisect_right(cum, block[0] * total), len(cum) - 1)
+            x, y = int(graph.edge_x[e]), int(graph.edge_y[e])
+            events.append((x, y, pi[x] / (pi[x] + pi[y]), block[1:]))
+        yield events
+        prev = t
+
+
+def _averaging_reference(graph, weights, eta0, times, seed, replica_id=0):
+    """Layout 2 of the averaging dynamics, which is layout 3 at k = 0: pool
+    and re-split the values on each event's edge; rescale a record whose mass
+    is off 1 by more than 1e-12."""
+    eta = np.array(eta0, dtype=float)
+    out = []
+    for events in _events(graph, weights, times, seed, 0, replica_id):
+        for x, y, p, _ in events:
+            pooled = eta[x] + eta[y]
+            eta[x] = p * pooled
+            eta[y] = pooled - eta[x]
+        mass = eta.sum()
+        if abs(mass - 1.0) > 1e-12:
+            eta /= mass
+        out.append(eta.copy())
+    return out
+
+
+def _labeled_reference(graph, weights, xs0, times, seed, replica_id=0):
+    """The i-th particle on the edge, in coordinate order, goes to x when
+    the i-th particle uniform is below p."""
+    xs = [int(v) for v in xs0]
+    out = []
+    for events in _events(graph, weights, times, seed, len(xs), replica_id):
+        for x, y, p, u in events:
+            on = [j for j, v in enumerate(xs) if v == x or v == y]
+            for i, j in enumerate(on):
+                xs[j] = x if u[i] < p else y
+        out.append(tuple(xs))
+    return out
+
+
+def _counting_reference(graph, weights, xi0, times, seed, replica_id=0):
+    """The unlabeled run with its own count update: the m particles on the
+    edge put the count of the first m particle uniforms below p on x."""
+    xi = [int(v) for v in xi0]
+    out = []
+    for events in _events(graph, weights, times, seed, sum(xi), replica_id):
+        for x, y, p, u in events:
+            m = xi[x] + xi[y]
+            xi[x] = int(np.count_nonzero(u[:m] < p))
+            xi[y] = m - xi[x]
+        out.append(np.array(xi, dtype=np.int64))
+    return out
+
+
+def _multicolored_reference(graph, weights, xi0, times, seed, replica_id=0):
+    """Per-color counts: the particle uniforms of an event are split into one
+    consecutive block per color on the edge, colors ascending."""
+    state = np.diag(np.asarray(xi0, dtype=np.int64))  # row = color, col = vertex
+    out = []
+    for events in _events(graph, weights, times, seed, int(state.sum()), replica_id):
+        for x, y, p, u in events:
+            offset = 0
+            for z in range(graph.n):
+                m_z = int(state[z, x] + state[z, y])
+                state[z, x] = int(np.count_nonzero(u[offset:offset + m_z] < p))
+                state[z, y] = m_z - state[z, x]
+                offset += m_z
+        out.append(state.copy())
+    return out
+
+
+def _row_counts(pos, n):
+    """Occupation vectors of a (..., k) block of positions, over vertices 0..n-1."""
+    return (np.asarray(pos)[..., None] == np.arange(n)).sum(axis=-2)
 
 
 def test_event_schedule_statistics():
     # per record interval: a Poisson(C dt) count, then marks that pick edges
     # in proportion to conductance
-    assert STREAM_LAYOUT == 2
+    assert STREAM_LAYOUT == 3
     intervals = 10 ** 5
-    n1 = np.array([len(e) for e in _schedule(path_graph(2),
-                                             np.arange(1.0, intervals + 1), 3)])
+    n1 = np.array([len(e) for e in _events(path_graph(2), uniform_weights(2),
+                                           np.arange(1.0, intervals + 1), 3, 0)])
     assert abs(n1.mean() - 1.0) <= 0.02
     g2 = path_graph(3, conductance=[1.0, 3.0])
-    per_interval = _schedule(g2, 0.5 * np.arange(1, intervals + 1), 4)
+    per_interval = list(_events(g2, uniform_weights(3), 0.5 * np.arange(1, intervals + 1), 4, 0))
     n2 = np.array([len(e) for e in per_interval])
     assert abs(n2.mean() - 2.0) <= 0.03 and abs(n2.var() - 2.0) <= 0.1
     # edge 1 = (1, 2) carries conductance 3 of 4
-    picks = np.concatenate(per_interval)
+    picks = np.array([x for events in per_interval for x, *_ in events])
     assert abs((picks == 1).mean() - 0.75) <= 0.01
     # same seed, same stream
-    a = _schedule(g2, (0.5, 1.0), 9, replica_id=1)
-    b = _schedule(g2, (0.5, 1.0), 9, replica_id=1)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    a = list(_events(g2, uniform_weights(3), (0.5, 1.0), 9, 2, replica_id=1))
+    b = list(_events(g2, uniform_weights(3), (0.5, 1.0), 9, 2, replica_id=1))
+    assert [[(x, y, p, u.tolist()) for x, y, p, u in e] for e in a] == \
+        [[(x, y, p, u.tolist()) for x, y, p, u in e] for e in b]
     with pytest.raises(ValueError):
         simulate_averaging(path_graph(1), uniform_weights(1), np.array([1.0]),
                            SimOptions(record_times=(1.0,)))
@@ -148,7 +235,11 @@ def test_averaging_batch_grouping_invariant(monkeypatch):
     ref, _ = simulate_averaging_batch(g, w, eta0, opts, 30)
     monkeypatch.setattr(simulate, "GROUP_BYTES", 1)
     monkeypatch.setattr(simulate, "MAX_HELD_MARKS", 7)
-    assert simulate._group_shape(5, 150.0) == (1, 7)
+    assert simulate._group_shape(5, 150.0, 1) == (1, 7)
+    # the held bound counts uniforms: 3 per event leaves 2 events, and one
+    # event wider than the bound is still held whole
+    assert simulate._group_shape(5, 150.0, 3) == (1, 2)
+    assert simulate._group_shape(5, 150.0, 9) == (1, 1)
     small, _ = simulate_averaging_batch(g, w, eta0, opts, 30)
     assert np.array_equal(ref, small)
 
@@ -170,17 +261,32 @@ def test_drift_guard_rescales_off_mass_once():
         assert np.all(np.abs(batch.sum(axis=2) - 1.0) <= 1e-12)
 
 
+def test_averaging_batch_rows_equal_layout2_reference(monkeypatch):
+    # every row equals the per-event reference of its replica bit for bit, in
+    # any group size and chunking, the drift guard included
+    rng = np.random.default_rng(20)
+    times = (0.0, 0.3, 1.0, 2.5, 6.0)
+    for graph in (path_graph(3), cycle_graph(5), complete_graph(6)):
+        w = site_weights(rng.random(graph.n) + 0.1)
+        for eta0 in (rng.dirichlet(np.ones(graph.n)), np.eye(graph.n)[0] * (1.0 + 1e-11)):
+            opts = SimOptions(record_times=times, seed=20, replica_id=3)
+            ref = [_averaging_reference(graph, w, eta0, times, 20, 3 + r) for r in range(9)]
+            with monkeypatch.context() as m:
+                for group_bytes, held in ((simulate.GROUP_BYTES, simulate.MAX_HELD_MARKS), (1, 3)):
+                    m.setattr(simulate, "GROUP_BYTES", group_bytes)
+                    m.setattr(simulate, "MAX_HELD_MARKS", held)
+                    batch, _ = simulate_averaging_batch(graph, w, eta0, opts, 9)
+                    assert np.array_equal(batch, np.array(ref))
+
+
 def test_simulate_splitting_conservation_and_stationary_law():
     g = path_graph(2)
     w = site_weights([0.3, 0.7])
-    opts_tpl = dict(record_times=(20.0,), seed=7)
-    counts = np.zeros(11)
-    for rep in range(10 ** 5):
-        xi_t = simulate_splitting(g, w, np.array([4, 6]),
-                                  SimOptions(replica_id=rep, **opts_tpl))[0]
-        assert xi_t.sum() == 10
-        counts[xi_t[0]] += 1
-    emp = counts / counts.sum()
+    opts = SimOptions(record_times=(20.0,), seed=7)
+    pos = simulate_splitting_batch(g, w, np.repeat([0, 1], [4, 6]), opts, 10 ** 5)
+    xi_t = _row_counts(pos[:, 0], 2)
+    assert np.all(xi_t.sum(axis=1) == 10)
+    emp = np.bincount(xi_t[:, 0], minlength=11) / 10 ** 5
     exact = binom.pmf(np.arange(11), 10, 0.3)
     assert 0.5 * np.abs(emp - exact).sum() <= 0.01
 
@@ -189,11 +295,9 @@ def test_simulate_splitting_matches_transient_law():
     g = cycle_graph(4)
     w = uniform_weights(4)
     t = 1.3
-    counts = np.zeros(4)
-    for rep in range(10 ** 5):
-        opts = SimOptions(record_times=(t,), seed=8, replica_id=rep)
-        xi_t = simulate_splitting(g, w, np.array([1, 0, 0, 0]), opts)[0]
-        counts[int(np.nonzero(xi_t)[0][0])] += 1
+    opts = SimOptions(record_times=(t,), seed=8)
+    pos = simulate_splitting_batch(g, w, (0,), opts, 10 ** 5)
+    counts = np.bincount(pos[:, 0, 0], minlength=4)
     Q = generator_single_particle(g, w)
     exact = transient_distribution(Q, np.array([1.0, 0, 0, 0]), t, 1e-10)
     assert tv_distance(counts / counts.sum(), exact) <= 0.02
@@ -204,8 +308,7 @@ def test_labeled_k1_pathwise_equals_unlabeled_per_particle():
     w = site_weights([0.1, 0.2, 0.3, 0.4])
     times = tuple(np.linspace(0.3, 4.0, 8))
     for rep in range(50):
-        opts = SimOptions(record_times=times, seed=10,
-                          replica_id=rep, coupling_mode="per_particle_bernoulli")
+        opts = SimOptions(record_times=times, seed=10, replica_id=rep)
         lab = simulate_splitting_labeled(g, w, (2,), opts)
         unl = simulate_splitting(g, w, np.array([0, 0, 1, 0]), opts)
         for xs, xi in zip(lab, unl):
@@ -228,108 +331,64 @@ def test_labeled_exchangeability_pathwise():
                                   np.bincount(v, minlength=3))
 
 
-def _counting_reference(graph, weights, xi0, opts):
-    """The unlabeled run with its own counting update: the per-particle mode
-    draws one uniform per pooled particle and puts the count below p on x."""
-    xi = [int(v) for v in xi0]
-
-    def update(x, y, p, rng):
-        m = xi[x] + xi[y]
-        if opts.coupling_mode == "fast_binomial":
-            if m == 0:
-                return
-            k_x = int(rng.binomial(m, p))
-        else:
-            k_x = int(np.count_nonzero(rng.random(m) < p))
-        xi[x], xi[y] = k_x, m - k_x
-
-    return simulate._run_replica(graph, weights, opts, update,
-                                 lambda: np.array(xi, dtype=np.int64))
-
-
-def _labeled_reference(graph, weights, xs0, opts):
-    xs = [int(v) for v in xs0]
-
-    def update(x, y, p, rng):
-        active = [j for j, v in enumerate(xs) if v == x or v == y]
-        if active:
-            u = rng.random(len(active))
-            for t_idx, j in enumerate(active):
-                xs[j] = x if u[t_idx] < p else y
-
-    return simulate._run_replica(graph, weights, opts, update, lambda: tuple(xs))
-
-
-def _multicolored_reference(graph, weights, xi0, opts):
-    """Per-color counts: the pooled uniforms of an event are split into one
-    consecutive block per color, colors ascending."""
-    n = graph.n
-    state = np.diag(np.asarray(xi0, dtype=np.int64))  # row = color, col = vertex
-
-    def update(x, y, p, rng):
-        m_per_color = state[:, x] + state[:, y]
-        u = rng.random(int(m_per_color.sum()))
-        offset = 0
-        for z in range(n):
-            m_z = int(m_per_color[z])
-            if m_z == 0:
-                continue
-            k_x = int(np.count_nonzero(u[offset:offset + m_z] < p))
-            offset += m_z
-            state[z, x] = k_x
-            state[z, y] = m_z - k_x
-
-    return simulate._run_replica(graph, weights, opts, update, state.copy)
-
-
 @pytest.mark.parametrize("graph", [path_graph(2), path_graph(3), cycle_graph(4),
                                    cycle_graph(5), complete_graph(6)],
                          ids=["path2", "path3", "cycle4", "cycle5", "complete6"])
-def test_per_particle_views_equal_reference_updates(graph):
-    # the per-particle unlabeled and multicolored runs count the one labeled
-    # run; they equal their own count updates bit for bit, stream included
+def test_per_particle_views_equal_reference_updates(graph, monkeypatch):
+    # the rows of a splitting batch equal the per-event reference of their
+    # replicas bit for bit, for any group size and chunking; the labeled,
+    # unlabeled and multicolored runs of one replica equal their own updates
     rng = np.random.default_rng(19)
     times = (0.3, 1.0, 2.5, 10.0)
+    rows = 6
     for weights in (uniform_weights(graph.n), site_weights(rng.random(graph.n) + 0.1)):
-        for rep in range(40):
-            k = 0 if rep == 0 else int(rng.integers(1, 6))
-            xi0 = np.bincount(rng.integers(0, graph.n, size=k), minlength=graph.n)
-            xs0 = rng.integers(0, graph.n, size=k)
-            for mode in ("fast_binomial", "per_particle_bernoulli"):
-                opts = SimOptions(record_times=times, seed=19, replica_id=rep,
-                                  coupling_mode=mode)
-                got = simulate_splitting(graph, weights, xi0, opts)
-                ref = _counting_reference(graph, weights, xi0, opts)
+        for k in range(6):
+            xs0 = rng.integers(0, graph.n, size=(rows, k))
+            opts = SimOptions(record_times=times, seed=19, replica_id=k)
+            ref = [_labeled_reference(graph, weights, xs0[r], times, 19, k + r)
+                   for r in range(rows)]
+            with monkeypatch.context() as m:
+                for group_bytes, held in ((simulate.GROUP_BYTES, simulate.MAX_HELD_MARKS), (1, 13)):
+                    m.setattr(simulate, "GROUP_BYTES", group_bytes)
+                    m.setattr(simulate, "MAX_HELD_MARKS", held)
+                    batch = simulate_splitting_batch(graph, weights, xs0, opts, rows)
+                    assert batch.shape == (rows, len(times), k)
+                    assert [list(map(tuple, b)) for b in batch.tolist()] == ref
+            assert simulate_splitting_labeled(graph, weights, xs0[0], opts) == ref[0]
+            xi0 = np.bincount(xs0[0], minlength=graph.n)
+            for got, want in ((simulate_splitting(graph, weights, xi0, opts),
+                               _counting_reference(graph, weights, xi0, times, 19, k)),
+                              (simulate_multicolored(graph, weights, xi0, opts),
+                               _multicolored_reference(graph, weights, xi0, times, 19, k))):
                 assert all(a.dtype == b.dtype and np.array_equal(a, b)
-                           for a, b in zip(got, ref, strict=True))
-                assert (simulate_splitting_labeled(graph, weights, xs0, opts)
-                        == _labeled_reference(graph, weights, xs0, opts))
-            # opts is now the per-particle mode, the one multicolored runs take
-            got = simulate_multicolored(graph, weights, xi0, opts)
-            ref = _multicolored_reference(graph, weights, xi0, opts)
-            assert all(a.dtype == b.dtype and np.array_equal(a, b)
-                       for a, b in zip(got, ref, strict=True))
+                           for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("xs0", [(0, 7, -1), (0, 3), (-1,), (0.7, 1), (1, 1.5)],
+                         ids=["above-and-below", "at-n", "negative", "fraction-first", "fraction-last"])
+def test_labeled_starts_are_validated(xs0):
+    g = path_graph(3)
+    w = uniform_weights(3)
+    opts = SimOptions(record_times=(1.0,), seed=21)
+    with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+        simulate_splitting_labeled(g, w, xs0, opts)
+    with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+        simulate_splitting_batch(g, w, np.array([xs0, xs0]), opts, 2)
+    with pytest.raises(ValueError, match=r"\(3, k\) positions"):
+        simulate_splitting_batch(g, w, np.zeros((2, 1), dtype=int), opts, 3)
+    # integral floats name a vertex
+    assert simulate_splitting_labeled(g, w, (0.0, 2.0), SimOptions(record_times=(0.0,))) == [(0, 2)]
 
 
 def test_occupation_counts_are_checked():
     g = path_graph(3)
     w = uniform_weights(3)
-    for mode in ("fast_binomial", "per_particle_bernoulli"):
-        opts = SimOptions(record_times=(1.0,), coupling_mode=mode)
-        for bad in (np.array([2, -1, 1]), np.array([1, 1])):
-            with pytest.raises(ValueError, match="nonnegative vector of length 3"):
-                simulate_splitting(g, w, bad, opts)
-            if mode == "per_particle_bernoulli":
-                with pytest.raises(ValueError, match="nonnegative vector of length 3"):
-                    simulate_multicolored(g, w, bad, opts)
-
-
-def test_multicolored_requires_coupled_mode():
-    g = path_graph(3)
-    w = uniform_weights(3)
-    opts = SimOptions(record_times=(1.0,), seed=12, coupling_mode="fast_binomial")
-    with pytest.raises(ValueError, match="per_particle_bernoulli"):
-        simulate_multicolored(g, w, np.array([2, 1, 0]), opts)
+    opts = SimOptions(record_times=(1.0,))
+    for bad in (np.array([2, -1, 1]), np.array([1, 1])):
+        with pytest.raises(ValueError, match="nonnegative vector of length 3"):
+            simulate_splitting(g, w, bad, opts)
+        with pytest.raises(ValueError, match="nonnegative vector of length 3"):
+            simulate_multicolored(g, w, bad, opts)
 
 
 def test_multicolored_projection_and_totals():
@@ -338,8 +397,7 @@ def test_multicolored_projection_and_totals():
     xi0 = np.array([3, 0, 2])
     times = (0.2, 0.7, 1.5, 3.0)
     for rep in range(200):
-        opts = SimOptions(record_times=times, seed=13,
-                          replica_id=rep, coupling_mode="per_particle_bernoulli")
+        opts = SimOptions(record_times=times, seed=13, replica_id=rep)
         colored = simulate_multicolored(g, w, xi0, opts)
         plain = simulate_splitting(g, w, xi0, opts)
         for c, p in zip(colored, plain):
