@@ -91,7 +91,7 @@ def _lattice_bonds(dims, wrap: bool) -> np.ndarray:
 class WeightedGraph:
     """Undirected connected graph with positive edge conductances.
 
-    ``edges`` is a tuple of (x, y, c_xy) with x < y after normalization.
+    ``edges`` takes (x, y, c_xy) triples, (m, 3) array-like; a tuple with x < y once normalized.
     Derived arrays (``edge_x``, ``edge_y``, ``edge_c``) are built once;
     instances are immutable (identity-hashed, so they can key per-graph
     caches) and safe to share across threads.  ``symmetries`` holds vertex
@@ -196,23 +196,25 @@ def ellipticity_ratio(weights: SiteWeights) -> float:
     return float(pi.max() / pi.min())
 
 
-def _apply_conductance(pairs, conductance):
+def _apply_conductance(pairs, conductance) -> np.ndarray:
+    """(m, 3) float array of the (x, y, c) triples of the m bonds ``pairs``."""
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if np.isscalar(conductance):
         c = float(conductance)
         if not c > 0:
             raise ValueError("conductance must be positive")
-        return [(x, y, c) for (x, y) in pairs]
+        return np.column_stack([pairs, np.full(len(pairs), c)])
     cs = [float(c) for c in conductance]
     if len(cs) != len(pairs):
         raise ValueError(f"need {len(pairs)} conductances, got {len(cs)}")
-    return [(x, y, c) for (x, y), c in zip(pairs, cs)]
+    return np.column_stack([pairs, cs])
 
 
 def path_graph(size: int, conductance=1.0) -> WeightedGraph:
     if size < 1:
         raise ValueError("path size must be >= 1")
     pairs = [(i, i + 1) for i in range(size - 1)]
-    return WeightedGraph(size, tuple(_apply_conductance(pairs, conductance)),
+    return WeightedGraph(size, _apply_conductance(pairs, conductance),
                          (np.arange(size)[::-1],))
 
 
@@ -225,7 +227,7 @@ def cycle_graph(size: int, conductance=1.0) -> WeightedGraph:
     else:
         pairs = [(i, (i + 1) % size) for i in range(size)]
     v = np.arange(size)
-    return WeightedGraph(size, tuple(_apply_conductance(pairs, conductance)),
+    return WeightedGraph(size, _apply_conductance(pairs, conductance),
                          ((v + 1) % size, -v % size))
 
 
@@ -243,15 +245,15 @@ def torus_graph(dims, conductance=1.0) -> WeightedGraph:
     idx = np.arange(int(np.prod(dims))).reshape(dims)
     moves = tuple(m.ravel() for ax in range(len(dims))
                   for m in (np.roll(idx, -1, axis=ax), np.flip(idx, axis=ax)))
-    return WeightedGraph(idx.size, tuple(_apply_conductance(pairs, conductance)), moves)
+    return WeightedGraph(idx.size, _apply_conductance(pairs, conductance), moves)
 
 
 def complete_graph(size: int, conductance=1.0) -> WeightedGraph:
     if size < 2:
         raise ValueError("complete graph size must be >= 2")
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    pairs = np.stack(np.triu_indices(size, 1), axis=1)
     v = np.arange(size)
-    return WeightedGraph(size, tuple(_apply_conductance(pairs, conductance)),
+    return WeightedGraph(size, _apply_conductance(pairs, conductance),
                          (np.r_[1, 0, v[2:]], (v + 1) % size))
 
 
@@ -286,7 +288,7 @@ def sierpinski_graph(level: int, conductance=1.0) -> WeightedGraph:
     verts = sorted({v for e in edges for v in e})
     index = {v: i for i, v in enumerate(verts)}
     pairs = sorted((index[a], index[b]) for (a, b) in edges)
-    return WeightedGraph(len(verts), tuple(_apply_conductance(pairs, conductance)))
+    return WeightedGraph(len(verts), _apply_conductance(pairs, conductance))
 
 
 def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> WeightedGraph:
@@ -325,7 +327,7 @@ def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> We
     remap[cluster] = np.arange(len(cluster))
     inner = remap[open_bonds[roots[open_bonds[:, 0]] == root]]
     pairs = sorted(map(tuple, inner.tolist()))
-    return WeightedGraph(len(cluster), tuple(_apply_conductance(pairs, conductance)))
+    return WeightedGraph(len(cluster), _apply_conductance(pairs, conductance))
 
 
 def custom_graph(edge_list, n: int | None = None, conductance=None) -> WeightedGraph:
@@ -338,11 +340,11 @@ def custom_graph(edge_list, n: int | None = None, conductance=None) -> WeightedG
             triples.append((int(e[0]), int(e[1]), 1.0))
         else:
             raise ValueError(f"edge entries must be (x, y) or (x, y, c), got {e!r}")
-    if conductance is not None:
-        triples = _apply_conductance([(x, y) for (x, y, _) in triples], conductance)
     if n is None:
         n = 1 + max(max(x, y) for (x, y, _) in triples) if triples else 1
-    return WeightedGraph(n, tuple(triples))
+    if conductance is not None:
+        triples = _apply_conductance([(x, y) for (x, y, _) in triples], conductance)
+    return WeightedGraph(n, triples)
 
 
 def build_graph(kind: str, *, size=None, dims=None, level=None, p_open=None,

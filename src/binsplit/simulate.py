@@ -11,7 +11,9 @@ interval of length dt a Poisson(C dt) event count, then per event, in order,
 uniforms, of which the m particles on the edge take the first m in coordinate
 order and go to x when theirs is below x's share.  ``STREAM_LAYOUT`` (3)
 numbers this layout; the averaging dynamics are its k = 0 case, drawn as in
-layout 2.  Both dynamics run through one lockstep engine whose row r is
+layout 2.  A guide table finds each mark's edge, the one a binary search over
+cumulative conductances picks, so values at a fixed seed do not depend on the
+lookup.  Both dynamics run through one lockstep engine whose row r is
 bit-identical to replica r run alone.  The Binomial(m, p) re-split of the
 unlabeled process is the count of the m choices, so the unlabeled and
 multicolored runs count per vertex, or per color and vertex, the labeled run
@@ -88,15 +90,25 @@ class _Tables:
     """Per-(graph, weights) event tables shared by replicas."""
 
     total: float       # total conductance, the event rate
-    cum: np.ndarray    # cumulative conductances, for marks -> edges
+    cum: np.ndarray    # cumulative conductances, the last one set to +inf
+    guide: np.ndarray  # guide[b]: count of cum <= (b - 1) total / E, E edges
     x: np.ndarray      # edge endpoints
     y: np.ndarray
     px: np.ndarray     # share of the pooled value that goes to x
 
     def edges_of(self, marks: np.ndarray) -> np.ndarray:
-        """Edge picked by each uniform mark, proportionally to conductance."""
-        idx = np.searchsorted(self.cum, marks * self.total, side="right")
-        return np.minimum(idx, self.cum.size - 1)
+        """Edge picked by each uniform mark u, proportionally to conductance:
+        the first edge whose cum exceeds u * total, as a binary search finds
+        it, reached from guide[floor(u E)] (a bucket below u's whatever the
+        rounding) in two steps up, else by binary search.  Overwrites marks."""
+        cum, j = self.cum, np.empty(marks.shape, np.intp)
+        j = self.guide[np.multiply(marks, cum.size, out=j, casting="unsafe")]
+        target = np.multiply(marks, self.total, out=marks)
+        for _ in range(2):
+            j += cum[j] <= target
+        left = np.flatnonzero(cum[j] <= target)
+        np.put(j, left, np.searchsorted(cum, target.ravel()[left], side="right"))
+        return j
 
 
 @lru_cache(maxsize=16)
@@ -106,8 +118,9 @@ def _sim_tables(graph: WeightedGraph, weights: SiteWeights) -> _Tables:
     pi = weights.pi
     x, y = graph.edge_x, graph.edge_y
     cum = np.cumsum(graph.edge_c)
-    return _Tables(total=float(cum[-1]), cum=cum, x=x, y=y,
-                   px=pi[x] / (pi[x] + pi[y]))
+    total, cum[-1] = float(cum[-1]), np.inf
+    guide = np.searchsorted(cum, np.arange(-1, cum.size) * (total / cum.size), side="right")
+    return _Tables(total=total, cum=cum, guide=guide, x=x, y=y, px=pi[x] / (pi[x] + pi[y]))
 
 
 def _group_shape(cols: int, expected_events: float, width: int):

@@ -266,7 +266,8 @@ def test_averaging_batch_rows_equal_layout2_reference(monkeypatch):
     # any group size and chunking, the drift guard included
     rng = np.random.default_rng(20)
     times = (0.0, 0.3, 1.0, 2.5, 6.0)
-    for graph in (path_graph(3), cycle_graph(5), complete_graph(6)):
+    for graph in (path_graph(3), cycle_graph(5), complete_graph(6),
+                  complete_graph(6, np.geomspace(1e-6, 1.0, 15))):
         w = site_weights(rng.random(graph.n) + 0.1)
         for eta0 in (rng.dirichlet(np.ones(graph.n)), np.eye(graph.n)[0] * (1.0 + 1e-11)):
             opts = SimOptions(record_times=times, seed=20, replica_id=3)
@@ -277,6 +278,40 @@ def test_averaging_batch_rows_equal_layout2_reference(monkeypatch):
                     m.setattr(simulate, "MAX_HELD_MARKS", held)
                     batch, _ = simulate_averaging_batch(graph, w, eta0, opts, 9)
                     assert np.array_equal(batch, np.array(ref))
+
+
+@pytest.mark.parametrize("name", ["unit", "equal", "uniform", "lognormal", "mixed", "one-edge"])
+def test_guide_lookup_equals_binary_search(name, monkeypatch):
+    # the guide-table lookup picks the edge the clamped binary search over
+    # cumulative conductances picks, at 0, just below 1, at every boundary
+    # cum[j] / total and every bucket edge b / E, and at both float
+    # neighbours of each
+    rng = np.random.default_rng(21)
+    graph = {"unit": lambda: complete_graph(12),
+             "equal": lambda: complete_graph(12, 3.0),
+             "uniform": lambda: complete_graph(12, rng.uniform(0.1, 10.0, 66)),
+             "lognormal": lambda: complete_graph(12, rng.lognormal(0.0, 3.0, 66)),
+             "mixed": lambda: complete_graph(23, rng.choice([1e-9, 1e-6, 1.0], 253)),
+             "one-edge": lambda: path_graph(2, 0.7)}[name]()
+    tab = simulate._sim_tables(graph, uniform_weights(graph.n))
+    cum = np.cumsum(graph.edge_c)
+    bounds = np.concatenate([cum / cum[-1], np.arange(cum.size) / cum.size])
+    marks = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], bounds, np.nextafter(bounds, 0.0),
+                            np.nextafter(bounds, 1.0), rng.random(5000)])
+    marks = marks[marks <= 1.0].reshape(1, -1)
+    ref = np.minimum(np.searchsorted(cum, marks * cum[-1], side="right"), cum.size - 1)
+    searched = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v, **kw: searched.append(np.size(v)) or search(a, v, **kw))
+    assert np.array_equal(tab.edges_of(marks.copy()), ref)
+    monkeypatch.undo()
+    # equal conductances never leave the guide's two steps; a skewed mix
+    # does, and its stragglers are binary-searched
+    if name in ("unit", "equal", "one-edge"):
+        assert searched == [0]
+    if name == "mixed":
+        assert searched[0] > 0
 
 
 def test_simulate_splitting_conservation_and_stationary_law():
