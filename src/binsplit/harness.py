@@ -360,6 +360,8 @@ def level_crossing_time(ts, vals, level: float) -> float:
 def run_gap_sweep(config: ExperimentConfig):
     """Spectral gaps of the k-particle systems across the graph suite,
     flagging any relative deviation from the single-particle gap above 1e-8."""
+    if any(k < 1 for k in config.k):
+        raise ValueError(f"config key 'k' must be ≥ 1, got {config.k}")
     graph_specs = config.extra.get("graphs") or [config.graph]
     rows = []
     for gspec in graph_specs:
@@ -376,10 +378,10 @@ def run_gap_sweep(config: ExperimentConfig):
                 continue
             Q = spectral.generator_splitting(graph, weights, k, space)
             mu = spectral.multinomial_measure(weights, k, space)
-            spec_k = spectral.spectral_gap(Q, mu)
+            spec_k = spectral.spectral_gap(Q, mu, eigenfunction=False)
             if gap1 is None:
-                s1 = distances.single_particle_spectrum(graph, weights)
-                gap1 = s1.gap
+                gap1 = spectral.spectral_gap(spectral.generator_single_particle(graph, weights),
+                                             weights.pi, eigenfunction=False).gap
             rel = abs(spec_k.gap / gap1 - 1.0)
             rows.append({"graph": label, "k": k, "gap": spec_k.gap,
                          "rel_dev": rel,
@@ -414,6 +416,8 @@ def run_cutoff_bin(config: ExperimentConfig):
     """
     if any(C < 0 for C in config.window_C):
         raise ValueError(f"config key 'window_C' must be nonnegative, got {config.window_C}")
+    if any(k < 1 for k in config.k):
+        raise ValueError(f"config key 'k' must be ≥ 1, got {config.k}")
     graph = resolve_graph(config.graph)
     weights = resolve_weights(config.weights, graph.n)
     spec1 = distances.single_particle_spectrum(graph, weights)

@@ -100,6 +100,45 @@ def test_gap_sweep_random_conductance_instance():
     assert max(abs(g / gaps[0] - 1.0) for g in gaps) <= 1e-9
 
 
+@pytest.mark.parametrize("restarts, sparse", [(None, ["lanczos"]),
+                                              (1, ["lanczos", "shift-invert"])],
+                         ids=["lanczos", "shift-invert"])
+def test_gap_sweep_asks_for_eigenvalues_only(restarts, sparse, monkeypatch):
+    # the sweep reads only the gaps: no dense or sparse solve computes an
+    # eigenvector, and the k = 1 rows still compare equal bits
+    calls, eigh, eigsh = [], spectral.eigh, spectral.eigsh
+
+    def eigh_spy(*args, **kwargs):
+        calls.append(("eigh", not kwargs.get("eigvals_only", False)))
+        return eigh(*args, **kwargs)
+
+    def eigsh_spy(*args, **kwargs):
+        calls.append(("shift-invert" if "sigma" in kwargs else "lanczos",
+                      kwargs.get("return_eigenvectors", True)))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigh", eigh_spy)
+    monkeypatch.setattr(spectral, "eigsh", eigsh_spy)
+    if restarts is not None:
+        monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", restarts)
+    # k = 1, its single-particle reference and k = 2 are dense; k = 5 has 792
+    # states, above the dense cutoff
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 8}, k=[1, 2, 5])
+    rows = run_gap_sweep(cfg)
+    assert [solver for solver, _ in calls] == ["eigh"] * 3 + sparse
+    assert not any(vectors for _, vectors in calls)
+    assert rows[0]["k"] == 1 and rows[0]["rel_dev"] == 0.0
+    assert all(r["status"] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("run", [run_gap_sweep, run_cutoff_bin])
+def test_k_below_one_names_its_key(run, k):
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 4}, k=[2, k])
+    with pytest.raises(ValueError, match="config key 'k' must be ≥ 1"):
+        run(cfg)
+
+
 def test_cutoff_runner_exact_mode(tmp_path):
     cfg = ExperimentConfig(
         graph={"kind": "cycle", "size": 5},

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from binsplit.graphs import (WeightedGraph, complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
 from binsplit import duality, spectral
+from binsplit.distances import single_particle_spectrum
 from binsplit.spectral import (StateSpaceCapError, dirichlet_defect_form,
                                dirichlet_form, dirichlet_independent_pair,
                                dirichlet_single_particle,
@@ -333,6 +335,54 @@ def test_shift_invert_fallback_route(eigsh_calls):
     dense = spectral_gap(Q, w.pi, dense_cutoff=5000)
     assert dense.full
     assert spec.gap == pytest.approx(dense.gap, rel=1e-10)
+
+
+@pytest.mark.parametrize("dense_cutoff, restarts, routes", [
+    pytest.param(512, None, [], id="dense"),
+    pytest.param(0, None, [False], id="lanczos"),
+    pytest.param(0, 1, [False, True], id="shift-invert"),
+])
+def test_gap_only_solve_matches_full_solve(dense_cutoff, restarts, routes,
+                                           eigsh_calls, monkeypatch):
+    # eigenvalues without eigenvectors take other LAPACK and ARPACK paths, so
+    # the gap agrees with the full solve to rounding, on every route, and no
+    # eigenfunction comes back
+    if restarts is not None:
+        # one restart is too few for Lanczos on 56 states, so the fallback runs
+        monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", restarts)
+    rng = np.random.default_rng(13)
+    edges = [(x, (x + 1) % 6) for x in range(6)] + [(0, 3)]
+    g = WeightedGraph(6, tuple((x, y, float(c))
+                               for (x, y), c in zip(edges, rng.uniform(0.3, 3.0, 7))))
+    w = random_elliptic_weights(6, rng)
+    space = enumerate_configs(6, 3)
+    Q = generator_splitting(g, w, 3, space)
+    mu = multinomial_measure(w, 3, space)
+    full = spectral_gap(Q, mu, dense_cutoff=dense_cutoff)
+    assert eigsh_calls == routes and full.psi is not None
+    eigsh_calls.clear()
+    gap_only = spectral_gap(Q, mu, dense_cutoff=dense_cutoff, eigenfunction=False)
+    assert eigsh_calls == routes and gap_only.psi is None
+    assert gap_only.full == full.full == (dense_cutoff > 0)
+    assert abs(gap_only.gap - full.gap) <= 1e-12 * full.gap
+    assert np.allclose(gap_only.eigenvalues, full.eigenvalues,
+                       rtol=0.0, atol=1e-12 * full.eigenvalues[-1])
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(8), torus_graph((6, 6))],
+                         ids=["cycle8", "torus6x6"])
+def test_single_particle_spectrum_is_the_full_dense_eigh(graph):
+    # t_rel, and every record time taken from it, must not move in its last
+    # bits, so the single-particle spectrum keeps eigh with eigenvectors
+    w = uniform_weights(graph.n)
+    spec = single_particle_spectrum(graph, w)
+    lam, U = scipy.linalg.eigh(
+        spectral._symmetrized(generator_single_particle(graph, w), w.pi).toarray())
+    assert spec.eigenvalues[0] == 0.0
+    assert np.array_equal(spec.eigenvalues[1:], lam[1:])
+    in_gap = np.abs(lam - lam[1]) <= 1e-9 * lam[-1]
+    psi = spectral._tie_break_eigenfunction(U[:, in_gap], np.sqrt(w.pi), w.pi)
+    assert np.array_equal(spec.psi, psi)
 
 
 # ---------------------------------------------------------------------------
