@@ -1,5 +1,5 @@
 """Distance-to-equilibrium functionals: exact total variation, transport
-norms, heat kernels, chi-square/TV bounds between multinomial laws, the
+norms, evolved densities, chi-square/TV bounds between multinomial laws, the
 sqrt(e k .) upper bound, Wilson's lower bound, the heat/noise split of the
 averaged L^2 error, and the effective-dimension fit of heat-kernel decay.
 """
@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from . import averaging
+from . import averaging, spectral
 from .graphs import SiteWeights, WeightedGraph
 from .simulate import SimOptions, make_rng, simulate_averaging_batch, simulate_splitting_batch
 from .spectral import (
-    DEFAULT_TRANSIENT_CAP,
     Spectrum,
     StateSpaceCapError,
     UnlabeledSpace,
@@ -41,9 +40,6 @@ NASH_DIM_CAP = 8.0
 NASH_TIMESCALE_CAP = 4.0  # finite-dimensional geometries keep t_nash = O(t_rel)
 
 __all__ = [
-    "tv_distance",
-    "HeatKernel",
-    "heat_kernel",
     "evolved_density",
     "heat_kernel_max_profile",
     "chi2_multinomial",
@@ -67,42 +63,11 @@ __all__ = [
 ]
 
 
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance, half the L1 difference."""
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    if p.shape != q.shape:
-        raise ValueError("distributions must have the same length")
-    for name, v in (("p", p), ("q", q)):
-        if abs(float(v.sum()) - 1.0) > 1e-8:
-            raise ValueError(f"{name} sums to {v.sum()!r}, expected 1 within 1e-8")
-    return float(0.5 * np.abs(p - q).sum())
-
-
-@dataclass(frozen=True)
-class HeatKernel:
-    """Transition density from x at time t relative to the site-weights."""
-
-    x: int
-    t: float
-    values: np.ndarray  # h_t^x(y) = p_t(x, y) / pi(y)
-
-
-def heat_kernel(graph: WeightedGraph, weights: SiteWeights, x: int, t: float,
-                tol: float = 1e-11) -> HeatKernel:
-    """Single-particle transition density relative to pi, by uniformization."""
-    Q = generator_single_particle(graph, weights)
-    init = np.zeros(graph.n)
-    init[x] = 1.0
-    p_t = transient_distribution(Q, init, t, tol)
-    h = np.maximum(p_t, 0.0) / weights.pi
-    return HeatKernel(x=int(x), t=float(t), values=h)
-
-
 def evolved_density(graph: WeightedGraph, weights: SiteWeights, eta, t: float,
                     tol: float = 1e-11) -> np.ndarray:
     """The mass profile's density eta/pi evolved by the single-particle
-    semigroup; the deterministic part of the averaging dynamics."""
+    semigroup; the deterministic part of the averaging dynamics.  At the
+    Dirac mass on x it is the heat kernel h_t^x(y) = p_t(x, y) / pi(y)."""
     Q = generator_single_particle(graph, weights)
     u = np.asarray(eta, float) / weights.pi
     return evolve_observable(Q, u, t, tol)
@@ -182,8 +147,7 @@ def wasserstein_estimate(graph: WeightedGraph, weights: SiteWeights, eta0,
 
 def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
                      times, tol: float = 1e-9,
-                     space: UnlabeledSpace | None = None,
-                     cap: int = None):
+                     space: UnlabeledSpace | None = None):
     """Exact TV to the multinomial equilibrium at each time, from a fixed
     starting configuration, by uniformization.
 
@@ -198,7 +162,7 @@ def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
     """
     if space is None:
         space = enumerate_configs(graph.n, k)
-    cap = DEFAULT_TRANSIENT_CAP if cap is None else cap
+    cap = spectral.DEFAULT_TRANSIENT_CAP
     if space.size > cap:
         raise StateSpaceCapError(
             f"occupation space has {space.size} states, above the transient cap "

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,12 @@ from .spectral import (
     transient_distribution,
 )
 
-SYMMETRIZE_EXACT_MAX_K = 6  # beyond 720 permutation terms, fall back to sampling
-
 __all__ = [
     "TensorFunction",
     "moment_duality",
     "orthogonal_duality",
     "falling_factorial",
     "multinomial_average",
-    "edge_redistribution_average",
     "intertwining_residual",
     "annihilate",
     "create",
@@ -59,16 +56,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TensorFunction:
-    """Observable on k-tuples of vertices, flat row-major values of length n^k.
-
-    ``exact`` is dropped to False by operations that only approximate the
-    result (sampled symmetrization for large k).
-    """
+    """Observable on k-tuples of vertices, flat row-major values of length n^k."""
 
     n: int
     k: int
     values: np.ndarray
-    exact: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
@@ -119,15 +111,9 @@ def multinomial_average(f: np.ndarray, eta: np.ndarray, k: int,
     return float(pmf @ np.asarray(f, float))
 
 
-def edge_redistribution_average(f: np.ndarray, xi, edge, weights: SiteWeights,
-                                space: UnlabeledSpace) -> float:
-    """Average of f over the binomial re-split of the particles on one edge."""
-    return float(_edge_kernel_apply(f, edge, weights, space)[space.index_of(xi)])
-
-
 def _edge_kernel_apply(f: np.ndarray, edge, weights: SiteWeights,
                        space: UnlabeledSpace) -> np.ndarray:
-    """Vector of edge redistribution averages over every configuration."""
+    """Average of f over the binomial re-split on one edge, for every configuration."""
     x, y = int(edge[0]), int(edge[1])
     pi = weights.pi
     src, dst, prob, stay = split_moves(space, x, y, pi[x] / (pi[x] + pi[y]))
@@ -165,7 +151,7 @@ def annihilate(psi: TensorFunction, i: int) -> TensorFunction:
         raise IndexError(f"coordinate {i} out of range 1..{k}")
     t = np.expand_dims(psi.tensor, axis=i - 1)
     t = np.broadcast_to(t, (psi.n,) * k)
-    return TensorFunction(psi.n, k, t.reshape(-1).copy(), exact=psi.exact)
+    return TensorFunction(psi.n, k, t.reshape(-1).copy())
 
 
 def create(psi: TensorFunction, i: int, weights: SiteWeights) -> TensorFunction:
@@ -173,31 +159,20 @@ def create(psi: TensorFunction, i: int, weights: SiteWeights) -> TensorFunction:
     if not (1 <= i <= psi.k):
         raise IndexError(f"coordinate {i} out of range 1..{psi.k}")
     t = np.tensordot(psi.tensor, weights.pi, axes=(i - 1, 0))
-    return TensorFunction(psi.n, psi.k - 1, t.reshape(-1), exact=psi.exact)
+    return TensorFunction(psi.n, psi.k - 1, t.reshape(-1))
 
 
-def symmetrize(psi: TensorFunction, rng: np.random.Generator | None = None,
-               samples: int = 720) -> TensorFunction:
-    """Project onto label-exchange invariant observables.
-
-    Exact average over all k! permutations for k <= 6; above that, a sampled
-    average (``samples`` random permutations) with the exact flag dropped.
-    """
+def symmetrize(psi: TensorFunction) -> TensorFunction:
+    """Project onto label-exchange invariant observables: the average over
+    all k! permutations of the coordinates."""
     k, n = psi.k, psi.n
     if k <= 1:
         return psi
     t = psi.tensor
-    if k <= SYMMETRIZE_EXACT_MAX_K:
-        acc = np.zeros_like(t)
-        for perm in itertools.permutations(range(k)):
-            acc += np.transpose(t, perm)
-        return TensorFunction(n, k, (acc / math.factorial(k)).reshape(-1), exact=psi.exact)
-    if rng is None:
-        rng = np.random.default_rng(0)
     acc = np.zeros_like(t)
-    for _ in range(samples):
-        acc += np.transpose(t, tuple(rng.permutation(k)))
-    return TensorFunction(n, k, (acc / samples).reshape(-1), exact=False)
+    for perm in itertools.permutations(range(k)):
+        acc += np.transpose(t, perm)
+    return TensorFunction(n, k, (acc / math.factorial(k)).reshape(-1))
 
 
 def inner_product(psi: TensorFunction, phi: TensorFunction,

@@ -47,7 +47,6 @@ __all__ = [
     "custom_graph",
     "uniform_weights",
     "site_weights",
-    "ellipticity_ratio",
     "load_edge_list",
     "load_site_weights",
 ]
@@ -94,7 +93,7 @@ class WeightedGraph:
     ``edges`` takes (x, y, c_xy) triples, (m, 3) array-like; a tuple with x < y once normalized.
     Derived arrays (``edge_x``, ``edge_y``, ``edge_c``) are built once;
     instances are immutable (identity-hashed, so they can key per-graph
-    caches) and safe to share across threads.  ``symmetries`` holds vertex
+    caches).  ``symmetries`` holds vertex
     permutations, unverified until :func:`vertex_orbits` checks them.
     """
 
@@ -145,14 +144,6 @@ class WeightedGraph:
     def total_conductance(self) -> float:
         return float(self.edge_c.sum())
 
-    def degree_annotated_canonical(self):
-        """Canonical sort of degree-annotated edges, for isomorphism fingerprints."""
-        deg = np.bincount(np.concatenate([self.edge_x, self.edge_y]), minlength=self.n).tolist()
-        items = sorted(
-            (tuple(sorted((deg[x], deg[y]))), round(c, 12)) for (x, y, c) in self.edges
-        )
-        return tuple(items)
-
 
 @dataclass(frozen=True, eq=False)
 class SiteWeights:
@@ -188,12 +179,6 @@ def site_weights(values) -> SiteWeights:
     if v.ndim != 1 or v.size < 1 or not np.all(v > 0):
         raise ValueError("site-weights must be a positive 1-d vector")
     return SiteWeights(v / v.sum())
-
-
-def ellipticity_ratio(weights: SiteWeights) -> float:
-    """max pi(x) / min pi(y); equals 1 exactly for uniform weights."""
-    pi = weights.pi
-    return float(pi.max() / pi.min())
 
 
 def _apply_conductance(pairs, conductance) -> np.ndarray:

@@ -60,6 +60,8 @@ _GRAPH_FIELDS = {"path": ("size",), "cycle": ("size",), "complete": ("size",),
                  "torus": ("dims",), "sierpinski": ("level",),
                  "percolation_box": ("dims", "p_open", "seed"), "custom": ("path",)}
 _GRAPH_NUMBERS = {"size": int, "level": int, "seed": int, "p_open": float}
+SVG_WIDTH, SVG_HEIGHT = 640, 400  # pixels of every chart
+_K_RULE = (lambda ks: all(k >= 1 for k in ks), "≥ 1")  # a _check_keys rule for 'k'
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,15 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _check_keys(config: ExperimentConfig, **rules) -> None:
+    """Raise a ValueError naming the first config key whose value fails its
+    rule; ``rules`` maps a key to (test, what the value must be)."""
+    for key, (ok, want) in rules.items():
+        value = getattr(config, key)
+        if not ok(value):
+            raise ValueError(f"config key {key!r} must be {want}, got {value}")
+
+
 def resolve_graph(spec: dict) -> WeightedGraph:
     """The graph of a ``graph`` spec; a bad field raises a ValueError naming it."""
     spec = dict(spec)
@@ -171,7 +182,10 @@ def resolve_weights(spec: dict, n: int) -> SiteWeights:
     if kind == "uniform":
         return uniform_weights(n)
     if kind == "file":
-        weights = load_site_weights(spec["path"])
+        path = spec.get("path")
+        if not isinstance(path, str):
+            raise ValueError(f"config key 'weights.path' must be a file path, got {path!r}")
+        weights = load_site_weights(path)
     elif kind == "values":
         weights = site_weights(_numbers("weights.values", spec.get("values"), float))
     else:
@@ -215,22 +229,29 @@ def complete_graph_crossing_time(n: int) -> float:
     return math.log(n) / (n * math.log(2.0))
 
 
-def resolve_time_grid(spec: dict, t_rel: float, k: int | None = None):
+def resolve_time_grid(spec: dict, t_rel: float, k: int | None = None, key: str = "times"):
     """Concrete strictly increasing times from a declarative grid spec.
 
     Modes: ``absolute`` (values as given); ``trel`` (multiples of t_rel,
     either an explicit list or start/stop/num with linear or log spacing);
     ``tmix_window`` (the mixing time for k plus/minus C t_rel for each C).
+    A bad field, or an empty or negative grid, raises a ValueError naming ``key``.
     """
     mode = spec.get("mode", "absolute")
+
+    def need(name, many=False):
+        if name not in spec:
+            raise ValueError(f"config key '{key}.{name}' is required in mode {mode!r}")
+        return (_numbers if many else _number)(f"{key}.{name}", spec[name], float)
+
     if mode == "absolute":
-        times = [float(t) for t in spec["values"]]
+        times = need("values", many=True)
     elif mode == "trel":
         if "multiples" in spec:
-            mult = [float(m) for m in spec["multiples"]]
+            mult = need("multiples", many=True)
         else:
-            num = int(spec.get("num", 20))
-            start, stop = float(spec["start"]), float(spec["stop"])
+            num = _number(f"{key}.num", spec.get("num", 20), int)
+            start, stop = need("start"), need("stop")
             if spec.get("spacing", "linear") == "log":
                 mult = list(np.geomspace(start, stop, num))
             else:
@@ -240,13 +261,14 @@ def resolve_time_grid(spec: dict, t_rel: float, k: int | None = None):
         if k is None:
             raise ValueError("tmix_window grid needs k")
         tm = mixing_time(t_rel, k)
-        times = sorted({tm} | {tm + s * float(C) * t_rel
-                               for C in spec.get("C", [1.0]) for s in (-1, 1)})
+        widths = _numbers(f"{key}.C", spec.get("C", [1.0]), float)
+        times = sorted({tm} | {tm + s * C * t_rel for C in widths for s in (-1, 1)})
         times = [t for t in times if t > 0]
     else:
-        raise ValueError(f"unknown time grid mode {mode!r}")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("time grid must be strictly increasing")
+        raise ValueError(f"config key '{key}.mode' is unknown: {mode!r}")
+    if not times or times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"config key {key!r} must give a nonempty, strictly increasing "
+                         f"grid of nonnegative times, got {times}")
     return times
 
 
@@ -305,9 +327,9 @@ def read_profile_csv(path):
     return [ProfileRecord(**row) for row in read_table(path)[1]]
 
 
-def write_svg_line(path, xs, ys, title: str = "", width: int = 640,
-                   height: int = 400) -> None:
+def write_svg_line(path, xs, ys, title: str = "") -> None:
     """Minimal single-series SVG line chart (cosmetic; the CSV is the contract)."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     pad = 40
@@ -360,8 +382,7 @@ def level_crossing_time(ts, vals, level: float) -> float:
 def run_gap_sweep(config: ExperimentConfig):
     """Spectral gaps of the k-particle systems across the graph suite,
     flagging any relative deviation from the single-particle gap above 1e-8."""
-    if any(k < 1 for k in config.k):
-        raise ValueError(f"config key 'k' must be ≥ 1, got {config.k}")
+    _check_keys(config, k=_K_RULE)
     graph_specs = config.extra.get("graphs") or [config.graph]
     rows = []
     for gspec in graph_specs:
@@ -414,10 +435,8 @@ def run_cutoff_bin(config: ExperimentConfig):
     built once per k and the Wilson bound maximized over all Diracs.  Rows
     tagged ``tmix``, ``t_plus``, ``t_minus`` annotate the reference times.
     """
-    if any(C < 0 for C in config.window_C):
-        raise ValueError(f"config key 'window_C' must be nonnegative, got {config.window_C}")
-    if any(k < 1 for k in config.k):
-        raise ValueError(f"config key 'k' must be ≥ 1, got {config.k}")
+    _check_keys(config, window_C=(lambda cs: all(C >= 0 for C in cs), "nonnegative"),
+                k=_K_RULE)
     graph = resolve_graph(config.graph)
     weights = resolve_weights(config.weights, graph.n)
     spec1 = distances.single_particle_spectrum(graph, weights)
@@ -488,8 +507,8 @@ def _resolve_eta0(config: ExperimentConfig, graph: WeightedGraph) -> np.ndarray:
 def run_avg_profile(config: ExperimentConfig):
     """Monte Carlo transport-distance profiles of the averaging dynamics,
     with the exact evolved-density lower curve alongside."""
-    if config.replicas < 100:
-        raise ValueError("averaging profiles need at least 100 replicas")
+    _check_keys(config, k=_K_RULE, replicas=(lambda r: r >= 100, "≥ 100"),
+                p_norm=(lambda p: p >= 1, "≥ 1"))
     graph = resolve_graph(config.graph)
     weights = resolve_weights(config.weights, graph.n)
     spec1 = distances.single_particle_spectrum(graph, weights)
@@ -526,6 +545,7 @@ def run_complete_cdsz(config: ExperimentConfig):
     verified automorphisms (``graphs.vertex_orbits``) move it onto every
     vertex; weights or conductances that break this raise, naming the key.
     """
+    _check_keys(config, replicas=(lambda r: r >= 2, "≥ 2"))
     graph = resolve_graph(config.graph)
     n = graph.n
     if n < 64:
@@ -534,8 +554,9 @@ def run_complete_cdsz(config: ExperimentConfig):
     t_star = complete_graph_crossing_time(n)
     tspec = config.times
     if tspec.get("mode") == "tstar":
-        mult = tspec.get("multiples", list(np.linspace(0.3, 1.8, 25)))
-        times = [float(m) * t_star for m in mult]
+        # a trel grid in units of t_star, checked as any other grid
+        tspec = {"multiples": list(np.linspace(0.3, 1.8, 25)), **tspec, "mode": "trel"}
+        times = resolve_time_grid(tspec, t_star)
     else:
         spec1 = distances.single_particle_spectrum(graph, weights)
         times = resolve_time_grid(tspec, spec1.t_rel)
@@ -572,7 +593,7 @@ def run_nash(config: ExperimentConfig):
         spec1 = distances.single_particle_spectrum(graph, weights)
         grid_spec = config.extra.get("nash_grid")
         if grid_spec:
-            grid = resolve_time_grid(grid_spec, spec1.t_rel)
+            grid = resolve_time_grid(grid_spec, spec1.t_rel, key="extra.nash_grid")
         else:
             grid = list(np.geomspace(spec1.t_rel / 100.0, spec1.t_rel, 48))
         prof = distances.heat_kernel_max_profile(graph, weights, grid)

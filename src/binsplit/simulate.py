@@ -39,7 +39,6 @@ __all__ = [
     "simulate_averaging_batch",
     "simulate_splitting_batch",
     "simulate_splitting",
-    "simulate_splitting_labeled",
     "simulate_multicolored",
 ]
 
@@ -258,14 +257,6 @@ def simulate_splitting_batch(graph: WeightedGraph, weights: SiteWeights, xs0,
     start = np.broadcast_to(pos, (replicas, pos.shape[-1]))
     return _lockstep(_sim_tables(graph, weights), opts, start, 1 + start.shape[1],
                      _split_particles, observe or np.copy)
-
-
-def simulate_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, xs0,
-                               opts: SimOptions):
-    """Position tuples of the labeled particle system at record times: the
-    lockstep batch of the one replica ``opts.replica_id``."""
-    return [tuple(xs) for xs in
-            simulate_splitting_batch(graph, weights, xs0, opts, 1)[0].tolist()]
 
 
 def _counts(n: int, xi0) -> list:

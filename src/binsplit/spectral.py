@@ -21,6 +21,8 @@ each result before the next group is evolved.  On the cycle-5 profile at
 k = 14 with 40 times, the powers cost 108 sparse products, where chaining one
 uniformized step per time cost 555.  At k = 32 the 40 laws of 5 starts take
 94 MB and run in three groups, 166 sparse products against 114 in one group.
+
+The caps and solver settings are module constants, read at each call.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .graphs import SiteWeights, WeightedGraph
 DEFAULT_STATE_CAP = 2_000_000
 DEFAULT_TRANSIENT_CAP = 200_000
 DENSE_EIG_CUTOFF = 512
+REVERSIBILITY_TOL = 1e-8  # largest detailed-balance defect, relative to max|Q|
 EIGSH_START_SEED = 0
 LANCZOS_RESTARTS = 200
 EVOLVE_BYTES = 1 << 26  # results of one group of record times plus its block of powers
@@ -56,7 +59,6 @@ __all__ = [
     "generator_splitting",
     "split_moves",
     "generator_splitting_labeled",
-    "generator_independent_pair",
     "labeled_states",
     "reversibility_residual",
     "spectral_gap",
@@ -112,14 +114,8 @@ class UnlabeledSpace:
         left = self.k - np.cumsum(xi[:, :-1], axis=1)
         return self._terms[np.arange(self.n - 1), left].sum(axis=1)
 
-    def index_of(self, config) -> int:
-        return int(self.rank(np.asarray(config).reshape(1, -1))[0])
 
-    def config(self, i: int) -> np.ndarray:
-        return self.configs[i]
-
-
-def enumerate_configs(n: int, k: int, cap: int = DEFAULT_STATE_CAP) -> UnlabeledSpace:
+def enumerate_configs(n: int, k: int) -> UnlabeledSpace:
     """Enumerate the k-particle occupation vectors on n vertices.
 
     The heaviest-first order is built one site at a time: a prefix with
@@ -129,9 +125,9 @@ def enumerate_configs(n: int, k: int, cap: int = DEFAULT_STATE_CAP) -> Unlabeled
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     count = math.comb(n + k - 1, k)
-    if count > cap:
+    if count > DEFAULT_STATE_CAP:
         raise StateSpaceCapError(
-            f"configuration space has {count} states, above the cap of {cap}"
+            f"configuration space has {count} states, above the cap of {DEFAULT_STATE_CAP}"
         )
     configs = np.empty((1, 0), dtype=np.int64)
     left = np.array([k], dtype=np.int64)
@@ -215,8 +211,7 @@ def split_moves(space: UnlabeledSpace, x: int, y: int, p: float):
 
 
 def generator_splitting(graph: WeightedGraph, weights: SiteWeights, k: int,
-                        space: UnlabeledSpace | None = None,
-                        cap: int = DEFAULT_STATE_CAP) -> sp.csr_matrix:
+                        space: UnlabeledSpace | None = None) -> sp.csr_matrix:
     """Rate matrix of the k-particle splitting dynamics on occupation vectors.
 
     An edge event at xy pools the m = xi(x)+xi(y) particles and re-splits
@@ -224,7 +219,7 @@ def generator_splitting(graph: WeightedGraph, weights: SiteWeights, k: int,
     probability of reproducing the current split is folded into the diagonal.
     """
     if space is None:
-        space = enumerate_configs(graph.n, k, cap)
+        space = enumerate_configs(graph.n, k)
     if space.n != graph.n or space.k != k:
         raise ValueError("space does not match (n, k)")
     pi = weights.pi
@@ -311,8 +306,7 @@ def _labeled_generator(graph: WeightedGraph, weights: SiteWeights, k: int) -> sp
     return Q
 
 
-def generator_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, k: int,
-                                cap: int = DEFAULT_TRANSIENT_CAP) -> sp.csr_matrix:
+def generator_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, k: int) -> sp.csr_matrix:
     """Rate matrix of the labeled k-particle dynamics on position tuples.
 
     At an edge event on xy, every particle currently on x or y independently
@@ -320,16 +314,10 @@ def generator_splitting_labeled(graph: WeightedGraph, weights: SiteWeights, k: i
     Self-adjoint in L^2 of the k-fold product of the site-weights.
     """
     size = graph.n ** k
-    if size > cap:
-        raise StateSpaceCapError(f"labeled space has {size} states, above the cap of {cap}")
+    if size > DEFAULT_TRANSIENT_CAP:
+        raise StateSpaceCapError(f"labeled space has {size} states, above the cap of "
+                                 f"{DEFAULT_TRANSIENT_CAP}")
     return _labeled_generator(graph, weights, k)
-
-
-def generator_independent_pair(graph: WeightedGraph, weights: SiteWeights) -> sp.csr_matrix:
-    """Kronecker sum of two single-particle rate matrices (independent pair)."""
-    Q1 = generator_single_particle(graph, weights)
-    eye = sp.identity(graph.n, format="csr")
-    return (sp.kron(Q1, eye) + sp.kron(eye, Q1)).tocsr()
 
 
 def product_weights(weights: SiteWeights, k: int = 2) -> np.ndarray:
@@ -393,14 +381,13 @@ def _symmetrized(Q, mu: np.ndarray) -> sp.csr_matrix:
     return 0.5 * (A + A.T)
 
 
-def spectral_gap(Q, mu: np.ndarray, dense_cutoff: int = DENSE_EIG_CUTOFF,
-                 reversibility_tol: float = 1e-8, *, eigenfunction: bool = True) -> Spectrum:
+def spectral_gap(Q, mu: np.ndarray, *, eigenfunction: bool = True) -> Spectrum:
     """Spectrum of -Q for a chain reversible with respect to mu.
 
     Symmetrizes with D^(1/2) (-Q) D^(-1/2), D = diag(mu), then solves the
     symmetric eigenproblem by one of three routes:
 
-    * dim <= ``dense_cutoff`` (512): dense ``eigh``, all eigenvalues.
+    * dim <= ``DENSE_EIG_CUTOFF`` (512): dense ``eigh``, all eigenvalues.
     * Otherwise the 8 smallest eigenvalues by implicitly restarted Lanczos
       (``eigsh``, ``which="SA"``) with no factorization, at most
       ``LANCZOS_RESTARTS`` (200) restarts.  It wins on k-particle spaces,
@@ -414,10 +401,10 @@ def spectral_gap(Q, mu: np.ndarray, dense_cutoff: int = DENSE_EIG_CUTOFF,
 
     Both sparse routes solve the operator divided by max|Q|, so ARPACK's
     absolute convergence floor (eps^(2/3)) sits at unit scale whatever the
-    time unit, and multiply the eigenvalues back.  Rejects non-reversible
-    input, reporting the residual.  Every tolerance is relative to max|Q|
-    or to the largest computed eigenvalue, so rescaling all rates rescales
-    the result.
+    time unit, and multiply the eigenvalues back.  Rejects input whose
+    detailed-balance residual exceeds ``REVERSIBILITY_TOL`` max|Q|, reporting
+    the residual.  Every tolerance is relative to max|Q| or to the largest
+    computed eigenvalue, so rescaling all rates rescales the result.
 
     ``eigenfunction=False`` skips every eigenvector (``eigvals_only`` in
     ``eigh``, ``return_eigenvectors=False`` in ``eigsh``) and the tie-break;
@@ -427,12 +414,12 @@ def spectral_gap(Q, mu: np.ndarray, dense_cutoff: int = DENSE_EIG_CUTOFF,
     dim = mu.size
     res = reversibility_residual(Q, mu)
     scale = float(abs(sp.csr_matrix(Q)).max())
-    if res > reversibility_tol * scale:
+    if res > REVERSIBILITY_TOL * scale:
         raise ValueError(f"rate matrix is not reversible w.r.t. mu: "
                          f"max detailed-balance residual {res:.3e}")
     sqrt_mu = np.sqrt(mu)
     A = _symmetrized(Q, mu)
-    if dim <= dense_cutoff:
+    if dim <= DENSE_EIG_CUTOFF:
         out = eigh(A.toarray(), eigvals_only=not eigenfunction)
         full = True
     else:
@@ -594,8 +581,7 @@ class _Uniformization:
         return self._PT if measure else self._P
 
 
-def transient_distribution(Q, init: np.ndarray, t: float, tol: float = 1e-9,
-                           cap: int = DEFAULT_TRANSIENT_CAP) -> np.ndarray:
+def transient_distribution(Q, init: np.ndarray, t: float, tol: float = 1e-9) -> np.ndarray:
     """Distribution of the chain at time t started from ``init``.
 
     Uniformized evaluation with Poisson tail below ``tol``; the output is
@@ -603,8 +589,9 @@ def transient_distribution(Q, init: np.ndarray, t: float, tol: float = 1e-9,
     block with one initial law per column.
     """
     init = np.asarray(init, dtype=float)
-    if init.shape[0] > cap:
-        raise StateSpaceCapError(f"transient vector has {init.shape[0]} entries, cap is {cap}")
+    if init.shape[0] > DEFAULT_TRANSIENT_CAP:
+        raise StateSpaceCapError(f"transient vector has {init.shape[0]} entries, "
+                                 f"cap is {DEFAULT_TRANSIENT_CAP}")
     return _Uniformization(Q).evolve(init, [t], tol, measure=True)[0]
 
 

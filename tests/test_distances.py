@@ -3,62 +3,54 @@ import math
 import numpy as np
 import pytest
 
+from binsplit import spectral
 from binsplit.averaging import transport_norm
-from binsplit.distances import (chi2_multinomial, evolved_density, heat_kernel,
+from binsplit.distances import (chi2_multinomial, evolved_density,
                                 heat_kernel_max_profile, l2_decomposition,
                                 l2_sq_exact, multinomial_tv_exact, nash_diagnose,
                                 nash_fit, pair_kernel_max_dev,
                                 single_particle_spectrum, tv_bound_from_l2,
-                                tv_bound_multinomial, tv_distance,
-                                tv_profile_exact, wasserstein_estimate,
+                                tv_bound_multinomial, tv_profile_exact, wasserstein_estimate,
                                 wilson_dirac_lower_bounds, wilson_report,
                                 worst_l2_sq)
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
-from binsplit.spectral import enumerate_configs, multinomial_measure
+from binsplit.spectral import (enumerate_configs, generator_single_particle,
+                               multinomial_measure, transient_distribution)
 
 
-def test_tv_distance_examples():
-    p = np.array([0.75, 0.25])
-    assert tv_distance(p, p) == 0.0
-    assert tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-    assert tv_distance(p, p[::-1]) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        tv_distance(p, np.array([0.3, 0.3, 0.4]))
-    with pytest.raises(ValueError):
-        tv_distance(p, np.array([0.9, 0.3]))
+def dirac(n, x):
+    eta = np.zeros(n)
+    eta[x] = 1.0
+    return eta
 
 
 def test_heat_kernel_examples():
+    # the heat kernel h_t^x is the evolved density of the Dirac mass at x
     g = cycle_graph(4)
     w = site_weights([0.1, 0.2, 0.3, 0.4])
-    hk0 = heat_kernel(g, w, 2, 0.0)
-    expected = np.zeros(4)
-    expected[2] = 1.0 / w.pi[2]
-    assert np.allclose(hk0.values, expected)
+    assert np.allclose(evolved_density(g, w, dirac(4, 2), 0.0), dirac(4, 2) / w.pi[2])
     t_rel = single_particle_spectrum(g, w).t_rel
-    hk_inf = heat_kernel(g, w, 1, 50 * t_rel)
-    assert np.max(np.abs(hk_inf.values - 1.0)) <= 1e-8
+    assert np.max(np.abs(evolved_density(g, w, dirac(4, 1), 50 * t_rel) - 1.0)) <= 1e-8
     # mass invariant and positivity
-    hk = heat_kernel(g, w, 0, 0.7)
-    assert abs(np.sum(w.pi * hk.values) - 1.0) <= 1e-10
-    assert hk.values.min() >= 0
+    hk = evolved_density(g, w, dirac(4, 0), 0.7)
+    assert abs(np.sum(w.pi * hk) - 1.0) <= 1e-10
+    assert hk.min() >= 0
     # single edge closed form
     g2 = path_graph(2)
     w2 = uniform_weights(2)
     for t in (0.3, 1.2):
-        hk2 = heat_kernel(g2, w2, 0, t, tol=1e-12)
-        assert abs(hk2.values[0] - (1 + math.exp(-t))) <= 1e-11
+        hk2 = evolved_density(g2, w2, dirac(2, 0), t, tol=1e-12)
+        assert abs(hk2[0] - (1 + math.exp(-t))) <= 1e-11
 
 
 def test_evolved_density_matches_heat_kernel_on_dirac():
+    # observable direction against the law from the Dirac start, over pi
     g = cycle_graph(5)
     w = site_weights([1, 2, 3, 2, 1])
-    eta = np.zeros(5)
-    eta[3] = 1.0
-    h_eta = evolved_density(g, w, eta, 0.9)
-    hk = heat_kernel(g, w, 3, 0.9)
-    assert np.max(np.abs(h_eta - hk.values)) <= 1e-10
+    h_eta = evolved_density(g, w, dirac(5, 3), 0.9)
+    law = transient_distribution(generator_single_particle(g, w), dirac(5, 3), 0.9, 1e-11)
+    assert np.max(np.abs(h_eta - law / w.pi)) <= 1e-10
 
 
 def test_chi2_examples_and_enumeration_oracle():
@@ -144,7 +136,7 @@ def test_tv_profile_exact_examples():
     xi0 = (2, 0)
     prof = tv_profile_exact(g, w, 2, xi0, [0.0, 0.4, 1.0, 2.5, 5.0], 1e-10, space)
     mu = multinomial_measure(w, 2, space)
-    assert prof[0][1] == pytest.approx(1.0 - mu[space.index_of(xi0)])
+    assert prof[0][1] == pytest.approx(1.0 - mu[space.rank([xi0])[0]])
     for t, d in prof:
         assert abs(d - 0.75 * math.exp(-t)) <= 1e-9
     ds = [d for _, d in prof]
@@ -273,9 +265,7 @@ def test_heat_kernel_max_profile_monotone():
     assert prof[0] <= 16.0 + 1e-9  # bounded by 1/min(pi)
 
 
-def test_tv_profile_cap_advises_bound_mode():
-    from binsplit.graphs import cycle_graph, uniform_weights
-    from binsplit.spectral import StateSpaceCapError
-    with pytest.raises(StateSpaceCapError, match="bound-based"):
-        tv_profile_exact(cycle_graph(4), uniform_weights(4), 5, (5, 0, 0, 0),
-                         [1.0], cap=10)
+def test_tv_profile_cap_advises_bound_mode(monkeypatch):
+    monkeypatch.setattr(spectral, "DEFAULT_TRANSIENT_CAP", 10)
+    with pytest.raises(spectral.StateSpaceCapError, match="bound-based"):
+        tv_profile_exact(cycle_graph(4), uniform_weights(4), 5, (5, 0, 0, 0), [1.0])

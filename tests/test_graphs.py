@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from binsplit.graphs import (PercolationRetry, SiteWeights, WeightedGraph, _cluster_roots,
-                             build_graph, complete_graph, cycle_graph,
-                             ellipticity_ratio, load_edge_list,
+                             build_graph, complete_graph, cycle_graph, load_edge_list,
                              load_site_weights, path_graph,
                              percolation_box_graph, sierpinski_graph,
                              site_weights, torus_graph, uniform_weights)
@@ -48,9 +47,7 @@ def test_torus_3x3_counts():
 
 def test_torus_matches_cycle_up_to_relabeling():
     for m in (3, 5, 8):
-        t = torus_graph([m])
-        c = cycle_graph(m)
-        assert t.degree_annotated_canonical() == c.degree_annotated_canonical()
+        assert sorted(torus_graph([m]).edges) == sorted(cycle_graph(m).edges)
 
 
 def test_uniform_weights_examples():
@@ -59,12 +56,6 @@ def test_uniform_weights_examples():
     assert abs(uniform_weights(3).pi.sum() - 1.0) <= 1e-12
     with pytest.raises(ValueError):
         uniform_weights(0)
-
-
-def test_ellipticity_examples():
-    assert ellipticity_ratio(uniform_weights(5)) == 1.0
-    assert ellipticity_ratio(SiteWeights(np.array([1 / 3, 2 / 3]))) == pytest.approx(2.0)
-    assert ellipticity_ratio(SiteWeights(np.array([0.1, 0.2, 0.7]))) == pytest.approx(7.0)
 
 
 def test_invalid_graphs_rejected():

@@ -132,11 +132,47 @@ def test_gap_sweep_asks_for_eigenvalues_only(restarts, sparse, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, -1])
-@pytest.mark.parametrize("run", [run_gap_sweep, run_cutoff_bin])
+@pytest.mark.parametrize("run", [run_gap_sweep, run_cutoff_bin, run_avg_profile])
 def test_k_below_one_names_its_key(run, k):
     cfg = ExperimentConfig(graph={"kind": "cycle", "size": 4}, k=[2, k])
     with pytest.raises(ValueError, match="config key 'k' must be ≥ 1"):
         run(cfg)
+
+
+@pytest.mark.parametrize("run, key, value, bound", [
+    (run_complete_cdsz, "replicas", 1, 2),
+    (run_avg_profile, "replicas", 50, 100),
+    (run_avg_profile, "p_norm", 0.5, 1),
+])
+def test_replicas_and_p_norm_name_their_key(run, key, value, bound, monkeypatch):
+    # rejected before any work: the runner never builds the graph
+    monkeypatch.setattr(harness, "resolve_graph", None)
+    with pytest.raises(ValueError, match=f"config key '{key}' must be ≥ {bound}, got {value}"):
+        run(ExperimentConfig(**{key: value}))
+
+
+@pytest.mark.parametrize("times, weights, message", [
+    ({"mode": "trel"}, None, "'times.start' is required in mode 'trel'"),
+    ({"mode": "absolute"}, None, "'times.values' is required in mode 'absolute'"),
+    ({"mode": "trel", "start": 0.5, "stop": 2.0, "num": 0}, None, "'times' must give a nonempty"),
+    ({"mode": "absolute", "values": [-1.0, 2.0]}, None, "'times' must give a nonempty"),
+    ({"mode": "absolute", "values": [1.0]}, {"kind": "file"},
+     "'weights.path' must be a file path, got None"),
+])
+def test_bad_time_grid_or_weights_file_names_its_key(times, weights, message):
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 4}, k=[2], times=times,
+                           weights=weights or {"kind": "uniform"})
+    with pytest.raises(ValueError, match=message):
+        run_cutoff_bin(cfg)
+
+
+@pytest.mark.parametrize("multiples", [[], [-0.5, 1.0]], ids=["empty", "negative"])
+def test_crossing_time_grid_names_its_key(multiples):
+    # the grid in units of t_star is checked as any other grid
+    cfg = ExperimentConfig(graph={"kind": "complete", "size": 64}, replicas=10,
+                           times={"mode": "tstar", "multiples": multiples})
+    with pytest.raises(ValueError, match="'times' must give a nonempty"):
+        run_complete_cdsz(cfg)
 
 
 def test_cutoff_runner_exact_mode(tmp_path):
@@ -155,8 +191,7 @@ def test_cutoff_runner_exact_mode(tmp_path):
         assert [r.t for r in rows] == cfg.times["values"]
         space = enumerate_configs(5, k)
         mu = multinomial_measure(w, k, space)
-        pile = tuple(space.config(0))
-        assert rows[0].value == pytest.approx(1.0 - mu[space.index_of(pile)])
+        assert rows[0].value == pytest.approx(1.0 - mu[space.rank(space.configs[:1])[0]])
         vals = [r.value for r in rows]
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
     # k=1 decays like exp(-t/t_rel): no abrupt transition

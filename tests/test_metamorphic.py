@@ -9,6 +9,8 @@ conductances and site weights, k = 3 particles (20 to 56 states), and the
 gap on the dense, the Lanczos and the shift-invert route.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,7 +56,8 @@ def _results(graph, weights, xi0, eta, times):
     Q = generator_splitting(graph, weights, K, space)
     mu = multinomial_measure(weights, K, space)
     dense = spectral_gap(Q, mu).gap
-    lanczos = spectral_gap(Q, mu, dense_cutoff=0).gap
+    with mock.patch.object(spectral, "DENSE_EIG_CUTOFF", 0):
+        lanczos = spectral_gap(Q, mu).gap
     tv = np.array([d for _, d in tv_profile_exact(graph, weights, K, xi0, times, 1e-10, space)])
     l2 = np.array([l2_sq_exact(graph, weights, eta, t) for t in times])
     return dense, lanczos, tv, l2
@@ -112,7 +115,8 @@ def _shift_invert_gap(graph, weights):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "LANCZOS_RESTARTS", 1)
         mp.setattr(spectral, "eigsh", spy)
-        gap = spectral_gap(Q, multinomial_measure(weights, K, space), dense_cutoff=0).gap
+        mp.setattr(spectral, "DENSE_EIG_CUTOFF", 0)
+        gap = spectral_gap(Q, multinomial_measure(weights, K, space)).gap
     assert routes == [False, True]
     return gap
 

@@ -12,7 +12,6 @@ from binsplit.spectral import (StateSpaceCapError, dirichlet_defect_form,
                                dirichlet_form, dirichlet_independent_pair,
                                dirichlet_single_particle,
                                enumerate_configs, evolve_observable,
-                               generator_independent_pair,
                                generator_single_particle, generator_splitting,
                                generator_splitting_labeled, labeled_states,
                                multinomial_measure, product_weights,
@@ -41,16 +40,17 @@ def test_enumerate_roundtrip_and_duplicates():
     space = enumerate_configs(4, 3)
     seen = set()
     for i in range(space.size):
-        cfg = tuple(space.config(i))
-        assert space.index_of(cfg) == i
+        cfg = tuple(space.configs[i])
+        assert space.rank([cfg])[0] == i
         assert sum(cfg) == 3
         seen.add(cfg)
     assert len(seen) == space.size
 
 
-def test_enumerate_cap_names_count():
+def test_enumerate_cap_names_count(monkeypatch):
+    monkeypatch.setattr(spectral, "DEFAULT_STATE_CAP", 1000)
     with pytest.raises(StateSpaceCapError, match=str(math.comb(29, 15))):
-        enumerate_configs(15, 15, cap=1000)
+        enumerate_configs(15, 15)
 
 
 def test_multinomial_measure_examples():
@@ -63,7 +63,7 @@ def test_multinomial_measure_examples():
     space1 = enumerate_configs(3, 1)
     m = multinomial_measure(w3, 1, space1)
     # k=1 reduces to the site-weights; order is heaviest-first on vertex 0
-    by_vertex = {tuple(space1.config(i)): m[i] for i in range(3)}
+    by_vertex = {tuple(space1.configs[i]): m[i] for i in range(3)}
     assert by_vertex[(1, 0, 0)] == pytest.approx(0.2)
     assert by_vertex[(0, 0, 1)] == pytest.approx(0.5)
     space5 = enumerate_configs(3, 5)
@@ -74,7 +74,7 @@ def test_multinomial_measure_degenerate_profile():
     # zeros allowed when sampling from a mass profile
     space = enumerate_configs(2, 2)
     m = multinomial_measure(np.array([1.0, 0.0]), 2, space)
-    assert m[space.index_of((2, 0))] == pytest.approx(1.0)
+    assert m[space.rank([(2, 0)])[0]] == pytest.approx(1.0)
     assert m.sum() == pytest.approx(1.0)
 
 
@@ -160,30 +160,6 @@ def test_labeled_self_adjoint_and_sym_commutes():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_independent_pair_generator():
-    g = path_graph(2)
-    w = uniform_weights(2)
-    Q = generator_independent_pair(g, w)
-    mu2 = product_weights(w, 2)
-    spec = spectral_gap(Q, mu2)
-    assert np.allclose(np.sort(spec.eigenvalues), [0.0, 1.0, 1.0, 2.0], atol=1e-10)
-    # marginals of the transient reproduce the single-particle law
-    g2 = cycle_graph(4)
-    w2 = site_weights([0.1, 0.2, 0.3, 0.4])
-    Qp = generator_independent_pair(g2, w2)
-    Q1 = generator_single_particle(g2, w2)
-    init2 = np.zeros(16)
-    init2[4 * 1 + 3] = 1.0  # particles at (1, 3)
-    pt2 = transient_distribution(Qp, init2, 0.8, 1e-12).reshape(4, 4)
-    for start, marg in ((1, pt2.sum(axis=1)), (3, pt2.sum(axis=0))):
-        init1 = np.zeros(4)
-        init1[start] = 1.0
-        pt1 = transient_distribution(Q1, init1, 0.8, 1e-12)
-        assert np.max(np.abs(marg - pt1)) <= 1e-10
-    assert spectral_gap(Qp, product_weights(w2, 2)).gap == pytest.approx(
-        spectral_gap(Q1, w2.pi).gap, rel=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -243,26 +219,28 @@ def test_spectrum_psi_normalized_and_harmonic_zero():
     assert np.array_equal(spec.psi, spec2.psi)
 
 
-def test_sparse_eigsh_path_matches_dense():
+def test_sparse_eigsh_path_matches_dense(monkeypatch):
     g = cycle_graph(5)
     w = uniform_weights(5)
     space = enumerate_configs(5, 4)
     Q = generator_splitting(g, w, 4, space)
     mu = multinomial_measure(w, 4, space)
     dense = spectral_gap(Q, mu)
-    sparse_spec = spectral_gap(Q, mu, dense_cutoff=10)
+    monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 10)
+    sparse_spec = spectral_gap(Q, mu)
     assert not sparse_spec.full
     assert sparse_spec.gap == pytest.approx(dense.gap, rel=1e-9)
 
 
-def test_sparse_eigsh_path_reproducible():
+def test_sparse_eigsh_path_reproducible(monkeypatch):
     # the Lanczos start vector is fixed, so repeated solves agree bit for bit
     g = cycle_graph(6)
     w = uniform_weights(6)
     space = enumerate_configs(6, 4)
     Q = generator_splitting(g, w, 4, space)
     mu = multinomial_measure(w, 4, space)
-    first, second = (spectral_gap(Q, mu, dense_cutoff=10) for _ in range(2))
+    monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 10)
+    first, second = (spectral_gap(Q, mu) for _ in range(2))
     assert first.gap == second.gap
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.psi, second.psi)
@@ -282,12 +260,12 @@ def eigsh_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("dense_cutoff, restarts, routes", [
+@pytest.mark.parametrize("cutoff, restarts, routes", [
     pytest.param(4096, None, [], id="4096"),
     pytest.param(8, None, [False], id="8"),
     pytest.param(8, 1, [False, True], id="8-fallback"),
 ])
-def test_spectral_gap_covariant_under_rate_scaling(dense_cutoff, restarts, routes,
+def test_spectral_gap_covariant_under_rate_scaling(cutoff, restarts, routes,
                                                     eigsh_calls, monkeypatch):
     # no absolute floor: a time unit up to 1e30 times longer rescales the gap
     # and nothing else, on the dense, the Lanczos and the shift-invert route
@@ -296,13 +274,13 @@ def test_spectral_gap_covariant_under_rate_scaling(dense_cutoff, restarts, route
     if restarts is not None:
         # one restart is too few for Lanczos here, so the fallback runs
         monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", restarts)
+    monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", cutoff)
     w = uniform_weights(64)
     ratios = []
     for c in (1.0, 1e-6, 1e-9, 1e-11, 1e-30):
         g = WeightedGraph(64, tuple((i, i + 1, c) for i in range(63)))
         eigsh_calls.clear()
-        ratios.append(spectral_gap(generator_single_particle(g, w), w.pi,
-                                   dense_cutoff=dense_cutoff).gap / c)
+        ratios.append(spectral_gap(generator_single_particle(g, w), w.pi).gap / c)
         assert eigsh_calls == routes
     # each edge carries a particle across at rate c/2: gap = c (1 - cos(pi/64))
     assert ratios[0] == pytest.approx(1.0 - math.cos(math.pi / 64), rel=1e-9)
@@ -311,7 +289,7 @@ def test_spectral_gap_covariant_under_rate_scaling(dense_cutoff, restarts, route
 
 @pytest.mark.parametrize("graph, k", [(torus_graph((3, 3)), 5), (cycle_graph(12), 4)],
                          ids=["torus3x3-k5", "cycle12-k4"])
-def test_lanczos_route_matches_dense(graph, k, eigsh_calls):
+def test_lanczos_route_matches_dense(graph, k, eigsh_calls, monkeypatch):
     # 1,287 and 1,365 states: above the dense cutoff, so Lanczos solves them
     w = uniform_weights(graph.n)
     space = enumerate_configs(graph.n, k)
@@ -319,30 +297,32 @@ def test_lanczos_route_matches_dense(graph, k, eigsh_calls):
     mu = multinomial_measure(w, k, space)
     lanczos = spectral_gap(Q, mu)
     assert eigsh_calls == [False] and not lanczos.full
-    dense = spectral_gap(Q, mu, dense_cutoff=5000)
+    monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 5000)
+    dense = spectral_gap(Q, mu)
     assert dense.full
     assert lanczos.gap == pytest.approx(dense.gap, rel=1e-12)
 
 
-def test_shift_invert_fallback_route(eigsh_calls):
+def test_shift_invert_fallback_route(eigsh_calls, monkeypatch):
     # the cycle-1024 gap is tiny against the width of its spectrum: Lanczos
     # runs out of restarts and shift-invert solves it
     g = cycle_graph(1024)
     w = uniform_weights(1024)
     Q = generator_single_particle(g, w)
-    spec = spectral_gap(Q, w.pi, dense_cutoff=8)
+    spec = spectral_gap(Q, w.pi)
     assert eigsh_calls == [False, True] and not spec.full
-    dense = spectral_gap(Q, w.pi, dense_cutoff=5000)
+    monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 5000)
+    dense = spectral_gap(Q, w.pi)
     assert dense.full
     assert spec.gap == pytest.approx(dense.gap, rel=1e-10)
 
 
-@pytest.mark.parametrize("dense_cutoff, restarts, routes", [
+@pytest.mark.parametrize("cutoff, restarts, routes", [
     pytest.param(512, None, [], id="dense"),
     pytest.param(0, None, [False], id="lanczos"),
     pytest.param(0, 1, [False, True], id="shift-invert"),
 ])
-def test_gap_only_solve_matches_full_solve(dense_cutoff, restarts, routes,
+def test_gap_only_solve_matches_full_solve(cutoff, restarts, routes,
                                            eigsh_calls, monkeypatch):
     # eigenvalues without eigenvectors take other LAPACK and ARPACK paths, so
     # the gap agrees with the full solve to rounding, on every route, and no
@@ -350,6 +330,7 @@ def test_gap_only_solve_matches_full_solve(dense_cutoff, restarts, routes,
     if restarts is not None:
         # one restart is too few for Lanczos on 56 states, so the fallback runs
         monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", restarts)
+    monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", cutoff)
     rng = np.random.default_rng(13)
     edges = [(x, (x + 1) % 6) for x in range(6)] + [(0, 3)]
     g = WeightedGraph(6, tuple((x, y, float(c))
@@ -358,12 +339,12 @@ def test_gap_only_solve_matches_full_solve(dense_cutoff, restarts, routes,
     space = enumerate_configs(6, 3)
     Q = generator_splitting(g, w, 3, space)
     mu = multinomial_measure(w, 3, space)
-    full = spectral_gap(Q, mu, dense_cutoff=dense_cutoff)
+    full = spectral_gap(Q, mu)
     assert eigsh_calls == routes and full.psi is not None
     eigsh_calls.clear()
-    gap_only = spectral_gap(Q, mu, dense_cutoff=dense_cutoff, eigenfunction=False)
+    gap_only = spectral_gap(Q, mu, eigenfunction=False)
     assert eigsh_calls == routes and gap_only.psi is None
-    assert gap_only.full == full.full == (dense_cutoff > 0)
+    assert gap_only.full == full.full == (cutoff > 0)
     assert abs(gap_only.gap - full.gap) <= 1e-12 * full.gap
     assert np.allclose(gap_only.eigenvalues, full.eigenvalues,
                        rtol=0.0, atol=1e-12 * full.eigenvalues[-1])
@@ -419,14 +400,15 @@ def test_transient_converges_to_stationary():
     assert np.max(np.abs(p - w.pi)) <= 1e-8
 
 
-def test_transient_validation():
+def test_transient_validation(monkeypatch):
     Q = generator_single_particle(path_graph(2), uniform_weights(2))
     with pytest.raises(ValueError):
         transient_distribution(Q, np.array([1.0, 0.0]), -1.0, 1e-9)
     with pytest.raises(ValueError):
         transient_distribution(Q, np.array([1.0, 0.0]), 1.0, 1e-3)
+    monkeypatch.setattr(spectral, "DEFAULT_TRANSIENT_CAP", 1)
     with pytest.raises(StateSpaceCapError):
-        transient_distribution(Q, np.array([1.0, 0.0]), 1.0, 1e-9, cap=1)
+        transient_distribution(Q, np.array([1.0, 0.0]), 1.0, 1e-9)
 
 
 def test_evolve_observable_adjoint_of_transient():
