@@ -189,7 +189,7 @@ def resolve_weights(spec: dict, n: int) -> SiteWeights:
     elif kind == "values":
         weights = site_weights(_numbers("weights.values", spec.get("values"), float))
     else:
-        raise ValueError(f"unknown weights kind {kind!r}")
+        raise ValueError(f"config key 'weights.kind' is unknown: {kind!r}")
     if weights.n != n:
         raise ValueError(f"config key 'weights' has {weights.n} values for a graph "
                          f"of {n} vertices")
@@ -251,8 +251,18 @@ def resolve_time_grid(spec: dict, t_rel: float, k: int | None = None, key: str =
             mult = need("multiples", many=True)
         else:
             num = _number(f"{key}.num", spec.get("num", 20), int)
+            if num < 1:
+                raise ValueError(f"config key '{key}.num' must be ≥ 1, got {num}")
             start, stop = need("start"), need("stop")
-            if spec.get("spacing", "linear") == "log":
+            spacing = spec.get("spacing", "linear")
+            if spacing not in ("linear", "log"):
+                raise ValueError(f"config key '{key}.spacing' must be 'linear' or 'log', "
+                                 f"got {spacing!r}")
+            if spacing == "log":
+                for name, value in (("start", start), ("stop", stop)):
+                    if value <= 0:
+                        raise ValueError(f"config key '{key}.{name}' must be > 0 for a "
+                                         f"log grid, got {value}")
                 mult = list(np.geomspace(start, stop, num))
             else:
                 mult = list(np.linspace(start, stop, num))

@@ -388,11 +388,11 @@ def spectral_gap(Q, mu: np.ndarray, *, eigenfunction: bool = True) -> Spectrum:
     symmetric eigenproblem by one of three routes:
 
     * dim <= ``DENSE_EIG_CUTOFF`` (512): dense ``eigh``, all eigenvalues.
-    * Otherwise the 8 smallest eigenvalues by implicitly restarted Lanczos
-      (``eigsh``, ``which="SA"``) with no factorization, at most
-      ``LANCZOS_RESTARTS`` (200) restarts.  It wins on k-particle spaces,
-      whose LU factors fill in badly: cycle12 k=5 (4,368 states) takes
-      0.06 s against 3.9 s by shift-invert.
+    * Otherwise the 8 smallest eigenvalues (2 for a gap-only solve, below)
+      by implicitly restarted Lanczos (``eigsh``, ``which="SA"``) with no
+      factorization, at most ``LANCZOS_RESTARTS`` (200) restarts.  It wins
+      on k-particle spaces, whose LU factors fill in badly: cycle12 k=5
+      (4,368 states) takes 0.06 s against 3.9 s by shift-invert.
     * Only if Lanczos does not converge, shift-invert Lanczos at
       sigma = -1e-6.  Long 1-D chains need it: their gap is tiny against
       the width of the spectrum, so Lanczos does not converge on the
@@ -409,6 +409,14 @@ def spectral_gap(Q, mu: np.ndarray, *, eigenfunction: bool = True) -> Spectrum:
     ``eigenfunction=False`` skips every eigenvector (``eigvals_only`` in
     ``eigh``, ``return_eigenvectors=False`` in ``eigsh``) and the tie-break;
     ``psi`` is then None, and the gap matches the full solve to rounding.
+    Both sparse routes then ask for 2 eigenvalues, the null one and the gap,
+    so the zero tolerance is relative to the gap; a smallest value that is
+    not zero against it means the null eigenvalue is not simple, and raises.
+    Lanczos runs with ncv 14, so each restart adds the 12 vectors an 8-value
+    solve adds and ``LANCZOS_RESTARTS`` caps both at about 2,420 matvecs on
+    the cycle-1024 single particle.  The ``eigsh`` call takes 26 ms against
+    51 ms on cycle12 k=5 and 134 ms against 370 ms on cycle16 k=5 (15,504
+    states).
     """
     mu = np.asarray(mu, dtype=float)
     dim = mu.size
@@ -424,12 +432,15 @@ def spectral_gap(Q, mu: np.ndarray, *, eigenfunction: bool = True) -> Spectrum:
         full = True
     else:
         A = A / scale
-        kk = min(8, dim - 1)
+        # ncv 14 adds the 12 vectors per restart that the default ncv (20)
+        # adds to an 8-value solve, so LANCZOS_RESTARTS is one matvec budget
+        kk = min(8 if eigenfunction else 2, dim - 1)
+        ncv = None if eigenfunction else min(14, dim)
         # a fixed start vector keeps the result bit-reproducible; it must not
         # be sqrt_mu, the null vector of A
         v0 = np.random.default_rng(EIGSH_START_SEED).standard_normal(dim)
         try:
-            out = eigsh(A, k=kk, which="SA", v0=v0, maxiter=LANCZOS_RESTARTS,
+            out = eigsh(A, k=kk, which="SA", v0=v0, ncv=ncv, maxiter=LANCZOS_RESTARTS,
                         return_eigenvectors=eigenfunction)
         except ArpackNoConvergence:
             # shift slightly below the spectrum: 0 is always an eigenvalue, so
@@ -445,7 +456,8 @@ def spectral_gap(Q, mu: np.ndarray, *, eigenfunction: bool = True) -> Spectrum:
     lam_max = float(evals[-1]) if evals.size else 0.0
     zero_tol = 1e-12 * lam_max * dim
     positive = evals[evals > zero_tol]
-    if positive.size == 0:
+    # the smallest value must be the null eigenvalue, zero against the rest
+    if positive.size == 0 or abs(evals[0]) > zero_tol:
         raise ValueError("no positive eigenvalue found; is the chain connected?")
     gap = float(positive[0])
     in_gap = np.nonzero(np.abs(evals - gap) <= 1e-9 * lam_max)[0]

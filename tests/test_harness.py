@@ -114,7 +114,7 @@ def test_gap_sweep_asks_for_eigenvalues_only(restarts, sparse, monkeypatch):
 
     def eigsh_spy(*args, **kwargs):
         calls.append(("shift-invert" if "sigma" in kwargs else "lanczos",
-                      kwargs.get("return_eigenvectors", True)))
+                      kwargs.get("return_eigenvectors", True), kwargs["k"]))
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "eigh", eigh_spy)
@@ -125,8 +125,10 @@ def test_gap_sweep_asks_for_eigenvalues_only(restarts, sparse, monkeypatch):
     # states, above the dense cutoff
     cfg = ExperimentConfig(graph={"kind": "cycle", "size": 8}, k=[1, 2, 5])
     rows = run_gap_sweep(cfg)
-    assert [solver for solver, _ in calls] == ["eigh"] * 3 + sparse
-    assert not any(vectors for _, vectors in calls)
+    assert [call[0] for call in calls] == ["eigh"] * 3 + sparse
+    assert not any(call[1] for call in calls)
+    # each sparse solve asks for the null eigenvalue and the gap only
+    assert [call[2] for call in calls[3:]] == [2] * len(sparse)
     assert rows[0]["k"] == 1 and rows[0]["rel_dev"] == 0.0
     assert all(r["status"] == "ok" for r in rows)
 
@@ -154,7 +156,7 @@ def test_replicas_and_p_norm_name_their_key(run, key, value, bound, monkeypatch)
 @pytest.mark.parametrize("times, weights, message", [
     ({"mode": "trel"}, None, "'times.start' is required in mode 'trel'"),
     ({"mode": "absolute"}, None, "'times.values' is required in mode 'absolute'"),
-    ({"mode": "trel", "start": 0.5, "stop": 2.0, "num": 0}, None, "'times' must give a nonempty"),
+    ({"mode": "trel", "start": 2.0, "stop": 0.5, "num": 4}, None, "'times' must give a nonempty"),
     ({"mode": "absolute", "values": [-1.0, 2.0]}, None, "'times' must give a nonempty"),
     ({"mode": "absolute", "values": [1.0]}, {"kind": "file"},
      "'weights.path' must be a file path, got None"),
@@ -164,6 +166,30 @@ def test_bad_time_grid_or_weights_file_names_its_key(times, weights, message):
                            weights=weights or {"kind": "uniform"})
     with pytest.raises(ValueError, match=message):
         run_cutoff_bin(cfg)
+
+
+@pytest.mark.parametrize("times, message", [
+    ({"spacing": "logg"}, "'times.spacing' must be 'linear' or 'log', got 'logg'"),
+    ({"num": 0}, "'times.num' must be ≥ 1, got 0"),
+    ({"num": -1}, "'times.num' must be ≥ 1, got -1"),
+    ({"spacing": "log", "start": 0.0}, "'times.start' must be > 0 for a log grid, got 0.0"),
+    ({"spacing": "log", "stop": -2.0}, "'times.stop' must be > 0 for a log grid, got -2.0"),
+], ids=["spacing", "num-0", "num-negative", "log-start", "log-stop"])
+def test_trel_grid_field_names_its_key(times, message):
+    # each is rejected before numpy sees it; a typo in the spacing used to
+    # give a linear grid silently
+    spec = {"mode": "trel", "start": 0.5, "stop": 2.0, "num": 4, **times}
+    with pytest.raises(ValueError, match=message):
+        resolve_time_grid(spec, 1.0)
+    with pytest.raises(ValueError, match=message.replace("'times.", "'extra.nash_grid.")):
+        resolve_time_grid(spec, 1.0, key="extra.nash_grid")
+
+
+def test_unknown_weights_kind_names_its_key():
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 4}, k=[2],
+                           weights={"kind": "valuez"})
+    with pytest.raises(ValueError, match="config key 'weights.kind' is unknown: 'valuez'"):
+        run_gap_sweep(cfg)
 
 
 @pytest.mark.parametrize("multiples", [[], [-0.5, 1.0]], ids=["empty", "negative"])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from binsplit.graphs import (WeightedGraph, complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
@@ -287,16 +289,29 @@ def test_spectral_gap_covariant_under_rate_scaling(cutoff, restarts, routes,
     assert ratios == pytest.approx([ratios[0]] * 5, rel=1e-9)
 
 
+def assert_gap_only_leg(Q, mu, spec):
+    """A gap-only solve returns the null eigenvalue, classified as zero, and
+    the gap, which agrees with the eigenfunction solve ``spec``."""
+    gap_only = spectral_gap(Q, mu, eigenfunction=False)
+    assert gap_only.psi is None and not gap_only.full
+    assert gap_only.eigenvalues.size == 2 and gap_only.eigenvalues[0] == 0.0
+    assert gap_only.eigenvalues[1] == gap_only.gap
+    assert abs(gap_only.gap - spec.gap) <= 1e-12 * spec.gap
+
+
 @pytest.mark.parametrize("graph, k", [(torus_graph((3, 3)), 5), (cycle_graph(12), 4)],
                          ids=["torus3x3-k5", "cycle12-k4"])
 def test_lanczos_route_matches_dense(graph, k, eigsh_calls, monkeypatch):
-    # 1,287 and 1,365 states: above the dense cutoff, so Lanczos solves them
+    # 1,287 and 1,365 states: above the dense cutoff, so Lanczos solves them;
+    # the torus gap is degenerate
     w = uniform_weights(graph.n)
     space = enumerate_configs(graph.n, k)
     Q = generator_splitting(graph, w, k, space)
     mu = multinomial_measure(w, k, space)
     lanczos = spectral_gap(Q, mu)
     assert eigsh_calls == [False] and not lanczos.full
+    assert_gap_only_leg(Q, mu, lanczos)
+    assert eigsh_calls == [False, False]
     monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 5000)
     dense = spectral_gap(Q, mu)
     assert dense.full
@@ -311,6 +326,8 @@ def test_shift_invert_fallback_route(eigsh_calls, monkeypatch):
     Q = generator_single_particle(g, w)
     spec = spectral_gap(Q, w.pi)
     assert eigsh_calls == [False, True] and not spec.full
+    assert_gap_only_leg(Q, w.pi, spec)
+    assert eigsh_calls == [False, True] * 2
     monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 5000)
     dense = spectral_gap(Q, w.pi)
     assert dense.full
@@ -346,8 +363,53 @@ def test_gap_only_solve_matches_full_solve(cutoff, restarts, routes,
     assert eigsh_calls == routes and gap_only.psi is None
     assert gap_only.full == full.full == (cutoff > 0)
     assert abs(gap_only.gap - full.gap) <= 1e-12 * full.gap
-    assert np.allclose(gap_only.eigenvalues, full.eigenvalues,
-                       rtol=0.0, atol=1e-12 * full.eigenvalues[-1])
+    # the sparse routes return the null eigenvalue and the gap only
+    m = full.eigenvalues.size if cutoff else 2
+    assert gap_only.eigenvalues.size == m
+    assert np.allclose(gap_only.eigenvalues, full.eigenvalues[:m],
+                       rtol=0.0, atol=1e-12 * full.eigenvalues[m - 1])
+
+
+def test_gap_only_fallback_keeps_the_matvec_budget(monkeypatch):
+    # LANCZOS_RESTARTS caps both solves: a gap-only solve that does not
+    # converge spends no more matvecs before the fallback than an 8-value one
+    counts, solve = [], spectral.eigsh
+
+    def counting(A, **kwargs):
+        if "sigma" in kwargs:
+            return solve(A, **kwargs)
+        counts.append(0)
+
+        def matvec(x):
+            counts[-1] += 1
+            return A @ x
+        return solve(scipy.sparse.linalg.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype),
+                     **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counting)
+    w = uniform_weights(1024)
+    Q = generator_single_particle(cycle_graph(1024), w)
+    full = spectral_gap(Q, w.pi)
+    gap_only = spectral_gap(Q, w.pi, eigenfunction=False)
+    assert gap_only.gap == pytest.approx(full.gap, rel=1e-12)
+    assert len(counts) == 2 and 0 < counts[1] <= counts[0]
+
+
+@pytest.mark.parametrize("ritz", [None, (-8.3e-17, 1.6e-16)], ids=["shift-invert", "lanczos"])
+def test_gap_only_solve_rejects_a_null_space_that_is_not_simple(ritz, monkeypatch):
+    # two disjoint 300-cycles: shift-invert finds both null eigenvalues, each
+    # of rounding size; Lanczos finds the second only through rounding, as
+    # the 8-value solve did on two disjoint torus3x3 k=5 spaces (these two
+    # Ritz values); neither may be reported as the gap
+    monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", 1)
+    if ritz is not None:
+        monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: np.array(ritz))
+    w = uniform_weights(300)
+    Q1 = generator_single_particle(cycle_graph(300), w)
+    Q = scipy.sparse.block_diag([Q1, Q1]).tocsr()
+    mu = np.concatenate([w.pi, w.pi]) / 2
+    with pytest.raises(ValueError, match="no positive eigenvalue"):
+        spectral_gap(Q, mu, eigenfunction=False)
 
 
 @pytest.mark.parametrize("graph", [cycle_graph(8), torus_graph((6, 6))],
