@@ -78,18 +78,26 @@ def single_particle_spectrum(graph: WeightedGraph, weights: SiteWeights) -> Spec
     return spectral_gap(Q, weights.pi)
 
 
+def _heat_decay(graph: WeightedGraph, weights: SiteWeights):
+    """(t_rel, profile) from one dense eigendecomposition U diag(lam) U^T of
+    the symmetrized single-particle generator; a graph is connected, so
+    lam[1] is the gap.  profile(times) is max_{x,y} h_t^x(y) at every time:
+    h_t(x, y) is the L^2(pi) product of h_{t/2}(x, .) and h_{t/2}(y, .), so
+    by Cauchy-Schwarz the max sits on the diagonal
+    h_t(x, x) = sum_j U_xj^2 e^(-lam_j t) / pi_x, one matrix product for all
+    times."""
+    if graph.n < 2:
+        raise ValueError("a one-vertex graph has no heat-kernel decay")
+    lam, U = eigh(_symmetrized(generator_single_particle(graph, weights), weights.pi).toarray())
+    diagonal = U ** 2 / weights.pi[:, None]
+    return 1.0 / lam[1], lambda times: (diagonal @ np.exp(-np.outer(lam, times))).max(axis=0)
+
+
 def heat_kernel_max_profile(graph: WeightedGraph, weights: SiteWeights,
                             times) -> np.ndarray:
-    """max_{x,y} h_t^x(y) on a time grid, via the exact eigendecomposition."""
-    pi = weights.pi
-    lam, U = eigh(_symmetrized(generator_single_particle(graph, weights), pi).toarray())
-    sq = np.sqrt(pi)
-    out = np.empty(len(times))
-    denom = np.outer(sq, sq)
-    for i, t in enumerate(times):
-        M = (U * np.exp(-lam * t)) @ U.T
-        out[i] = float((M / denom).max())
-    return out
+    """max_{x,y} h_t^x(y) on a time grid, read off the diagonal of the exact
+    eigendecomposition."""
+    return _heat_decay(graph, weights)[1](times)
 
 
 def chi2_multinomial(eta, weights: SiteWeights, k: int) -> float:
@@ -311,10 +319,14 @@ def nash_fit(graph: WeightedGraph, weights: SiteWeights, t_grid) -> NashFit:
     lies within [1.05, half the grid maximum]; rejects when fewer than 4
     grid points qualify.
     """
-    t_grid = np.asarray(sorted(float(t) for t in t_grid))
+    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    return _fit_profile(t_grid, heat_kernel_max_profile(graph, weights, t_grid))
+
+
+def _fit_profile(t_grid: np.ndarray, prof: np.ndarray) -> NashFit:
+    """:func:`nash_fit` on a sorted grid and the profile on it."""
     if np.any(t_grid <= 0):
         raise ValueError("t_grid must be strictly positive")
-    prof = heat_kernel_max_profile(graph, weights, t_grid)
     ceil = NASH_WINDOW_CEIL_FRACTION * prof.max()
     mask = (prof >= NASH_WINDOW_FLOOR) & (prof <= ceil)
     if int(mask.sum()) < NASH_MIN_POINTS:
@@ -346,27 +358,33 @@ def nash_diagnose(graph: WeightedGraph, weights: SiteWeights,
     dimensional: no usable power-law window, an unstable fit, an unbounded
     fitted dimension, or a fitted burn-in time far above the relaxation time
     (on the complete graph the two scales separate while the window fit can
-    still look locally like a power law)."""
-    spec = single_particle_spectrum(graph, weights)
+    still look locally like a power law).  The default grid is 48 log-spaced
+    times from t_rel / 100 to t_rel."""
+    return _nash_diagnosis(*_heat_decay(graph, weights), t_grid)[2]
+
+
+def _nash_diagnosis(t_rel: float, profile, t_grid=None):
+    """(grid, profile on it, diagnosis) of :func:`nash_diagnose`, from the
+    relaxation time and the profile map :func:`_heat_decay` returns."""
     if t_grid is None:
-        t_grid = np.geomspace(spec.t_rel / 100.0, spec.t_rel, 48)
+        t_grid = np.geomspace(t_rel / 100.0, t_rel, 48)
+    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    prof = profile(t_grid)
     try:
-        fit = nash_fit(graph, weights, t_grid)
+        fit = _fit_profile(t_grid, prof)
     except ValueError as err:
-        return NashDiagnosis(fit=None, finite_dimensional=False,
-                             reason=f"no power-law window: {err}")
+        return t_grid, prof, NashDiagnosis(fit=None, finite_dimensional=False,
+                                           reason=f"no power-law window: {err}")
     if fit.r_squared < NASH_R2_THRESHOLD:
-        return NashDiagnosis(fit=fit, finite_dimensional=False,
-                             reason=f"log-log fit unstable (R^2={fit.r_squared:.4f})")
-    if not (0.0 < fit.d_hat <= NASH_DIM_CAP):
-        return NashDiagnosis(fit=fit, finite_dimensional=False,
-                             reason=f"fitted dimension {fit.d_hat:.2f} outside (0, {NASH_DIM_CAP:g}]")
-    if fit.t_nash_hat > NASH_TIMESCALE_CAP * spec.t_rel:
-        return NashDiagnosis(
-            fit=fit, finite_dimensional=False,
-            reason=(f"fitted burn-in time {fit.t_nash_hat:.3g} is "
-                    f"{fit.t_nash_hat / spec.t_rel:.1f}x the relaxation time"))
-    return NashDiagnosis(fit=fit, finite_dimensional=True, reason="ok")
+        reason = f"log-log fit unstable (R^2={fit.r_squared:.4f})"
+    elif not (0.0 < fit.d_hat <= NASH_DIM_CAP):
+        reason = f"fitted dimension {fit.d_hat:.2f} outside (0, {NASH_DIM_CAP:g}]"
+    elif fit.t_nash_hat > NASH_TIMESCALE_CAP * t_rel:
+        reason = (f"fitted burn-in time {fit.t_nash_hat:.3g} is "
+                  f"{fit.t_nash_hat / t_rel:.1f}x the relaxation time")
+    else:
+        return t_grid, prof, NashDiagnosis(fit=fit, finite_dimensional=True, reason="ok")
+    return t_grid, prof, NashDiagnosis(fit=fit, finite_dimensional=False, reason=reason)
 
 
 def l2_decomposition(graph: WeightedGraph, weights: SiteWeights, eta, t: float,

@@ -6,12 +6,13 @@ CSV contract: profile files carry the header
 ``experiment,k,t,t_normalized,value,stderr,kind`` after a single
 ``# generated ...`` timestamp comment; floats are written with ``repr`` so
 re-runs with the same config and seed are byte-identical apart from the
-timestamp line.  Every file the harness writes can be read back with
-:func:`read_profile_csv` / :func:`read_table`.
+timestamp line.  A cell holding a comma is quoted.  Every file the harness
+writes can be read back with :func:`read_profile_csv` / :func:`read_table`.
 """
 
 from __future__ import annotations
 
+import csv
 import datetime as _dt
 import json
 import math
@@ -289,33 +290,30 @@ PROFILE_COLUMNS = ("experiment", "k", "t", "t_normalized", "value", "stderr", "k
 
 
 def write_table(path, columns, rows) -> None:
-    """Comma-separated table with a timestamp comment and a header row."""
+    """Comma-separated table with a timestamp comment and a header row; a
+    cell holding a comma, a quote or a line break is quoted, every other cell
+    written as is."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# generated {_dt.datetime.now().isoformat()}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    return str(v)
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def read_table(path):
     """Read a harness CSV back: (columns, list of dicts with parsed values)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
-    columns = lines[0].split(",")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+    columns = lines[0]
     rows = []
-    for ln in lines[1:]:
-        if not ln:
+    for vals in lines[1:]:
+        if not vals:
             continue
-        vals = ln.split(",")
         row = {}
         for c, v in zip(columns, vals):
             try:
@@ -600,24 +598,20 @@ def run_nash(config: ExperimentConfig):
         graph = resolve_graph(gspec)
         weights = resolve_weights(config.weights, graph.n)
         label = gspec.get("label") or gspec["kind"]
-        spec1 = distances.single_particle_spectrum(graph, weights)
+        t_rel, profile = distances._heat_decay(graph, weights)
         grid_spec = config.extra.get("nash_grid")
-        if grid_spec:
-            grid = resolve_time_grid(grid_spec, spec1.t_rel, key="extra.nash_grid")
-        else:
-            grid = list(np.geomspace(spec1.t_rel / 100.0, spec1.t_rel, 48))
-        prof = distances.heat_kernel_max_profile(graph, weights, grid)
+        grid = resolve_time_grid(grid_spec, t_rel, key="extra.nash_grid") if grid_spec else None
+        grid, prof, diag = distances._nash_diagnosis(t_rel, profile, grid)
         for t, h in zip(grid, prof):
-            records.append(ProfileRecord("nash", 1, float(t), float(t / spec1.t_rel),
+            records.append(ProfileRecord("nash", 1, float(t), float(t / t_rel),
                                          float(h), 0.0, f"profile:{label}"))
-        diag = distances.nash_diagnose(graph, weights, grid)
         rows.append({
             "graph": label,
             "d_hat": diag.fit.d_hat if diag.fit else math.nan,
             "t_nash_hat": diag.fit.t_nash_hat if diag.fit else math.nan,
             "r_squared": diag.fit.r_squared if diag.fit else math.nan,
             "finite_dimensional": diag.finite_dimensional,
-            "reason": diag.reason.replace(",", ";"),
+            "reason": diag.reason,
         })
     if config.out:
         write_table(os.path.join(config.out, "nash_summary.csv"),

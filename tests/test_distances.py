@@ -265,6 +265,20 @@ def test_heat_kernel_max_profile_monotone():
     assert prof[0] <= 16.0 + 1e-9  # bounded by 1/min(pi)
 
 
+def test_heat_kernel_max_profile_is_the_full_kernel_max():
+    # the profile is read off the diagonal; the reference is the max over all
+    # (x, y) of p_t(x, y) / pi(y), with p_t = exp(tQ) by scipy's expm
+    from scipy.linalg import expm
+    rng = np.random.default_rng(7)
+    g = cycle_graph(10, conductance=rng.uniform(0.2, 3.0, 10).tolist())
+    w = site_weights(rng.uniform(0.3, 2.0, 10))
+    Q = generator_single_particle(g, w).toarray()
+    ts = np.geomspace(0.01, 50.0, 20)
+    ref = np.array([(expm(t * Q) / w.pi).max() for t in ts])
+    prof = heat_kernel_max_profile(g, w, ts)
+    assert np.max(np.abs(prof / ref - 1.0)) <= 1e-13
+
+
 def test_tv_profile_cap_advises_bound_mode(monkeypatch):
     monkeypatch.setattr(spectral, "DEFAULT_TRANSIENT_CAP", 10)
     with pytest.raises(spectral.StateSpaceCapError, match="bound-based"):

@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from binsplit import averaging, harness, spectral
+from binsplit import averaging, distances, harness, spectral
 from binsplit.cli import main as cli_main
-from binsplit.graphs import uniform_weights
+from binsplit.graphs import cycle_graph, uniform_weights
 from binsplit.harness import (ExperimentConfig, ProfileRecord,
                               complete_graph_crossing_time, level_crossing_time,
                               load_config, mixing_time, precutoff_exponents,
@@ -84,6 +84,21 @@ def test_gap_sweep_runner(tmp_path):
     assert all(r["status"] == "ok" for r in rows)
     cols, back = read_table(os.path.join(str(tmp_path), "gap_sweep.csv"))
     assert len(back) == len(rows)
+
+
+def test_table_quotes_a_cell_with_a_comma(tmp_path):
+    # a capped row's status holds a comma: it is quoted on write and read back
+    # whole, while every cell without a comma is written as is
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 40}, k=[2, 9], out=str(tmp_path))
+    rows = run_gap_sweep(cfg)
+    assert "states, above the cap of" in rows[1]["status"]
+    cols, back = read_table(tmp_path / "gap_sweep.csv")
+    assert cols == ["graph", "k", "gap", "rel_dev", "status"]
+    assert [r["status"] for r in back] == [r["status"] for r in rows]
+    assert math.isnan(back[1]["gap"]) and back[1]["k"] == 9
+    lines = (tmp_path / "gap_sweep.csv").read_text().splitlines()
+    assert lines[2] == f"cycle,2,{rows[0]['gap']!r},{rows[0]['rel_dev']!r},ok"
+    assert lines[3] == f'cycle,9,nan,nan,"{rows[1]["status"]}"'
 
 
 def test_gap_sweep_random_conductance_instance():
@@ -346,6 +361,49 @@ def test_nash_runner(tmp_path):
     assert 0.8 <= float(by["c32"]["d_hat"]) <= 1.3
     cols, back = read_table(tmp_path / "nash_summary.csv")
     assert len(back) == 2
+
+
+def test_nash_runner_solves_once_per_graph(tmp_path, monkeypatch):
+    # one dense eigendecomposition per graph serves t_rel, the grid, the
+    # profile and the diagnosis; no spectral_gap solve runs
+    calls, eigh = [], distances.eigh
+
+    def eigh_spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def no_gap_solve(*args, **kwargs):
+        raise AssertionError("spectral_gap called on the Nash path")
+
+    monkeypatch.setattr(distances, "eigh", eigh_spy)
+    monkeypatch.setattr(distances, "spectral_gap", no_gap_solve)
+    monkeypatch.setattr(spectral, "spectral_gap", no_gap_solve)
+    cfg = ExperimentConfig(
+        out=str(tmp_path),
+        extra={"graphs": [{"kind": "cycle", "size": 32, "label": "c32"},
+                          {"kind": "torus", "dims": [4, 4], "label": "t4x4"}]},
+    )
+    rows = run_nash(cfg)
+    assert calls == [(32, 32), (16, 16)]
+    assert [r["finite_dimensional"] for r in rows] == [True, True]
+
+
+def test_nash_runner_rejects_a_one_vertex_graph():
+    with pytest.raises(ValueError, match="one-vertex graph"):
+        run_nash(ExperimentConfig(graph={"kind": "path", "size": 1}))
+
+
+def test_nash_runner_writes_the_configured_grid(tmp_path):
+    grid_spec = {"mode": "trel", "start": 0.02, "stop": 1.0, "num": 12, "spacing": "log"}
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 32}, out=str(tmp_path),
+                           extra={"nash_grid": grid_spec})
+    run_nash(cfg)
+    t_rel = distances.single_particle_spectrum(cycle_graph(32), uniform_weights(32)).t_rel
+    grid = resolve_time_grid(grid_spec, t_rel, key="extra.nash_grid")
+    back = read_profile_csv(tmp_path / "nash_profiles.csv")
+    assert [r.t for r in back] == grid
+    assert [r.t_normalized for r in back] == [t / t_rel for t in grid]
+    assert all(r.kind == "profile:cycle" for r in back)
 
 
 def test_verify_battery_passes_and_counts():
