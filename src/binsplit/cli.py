@@ -72,7 +72,8 @@ def main(argv=None) -> int:
                   f"finite_dimensional={r['finite_dimensional']}  ({r['reason']})")
         return 0
     if args.command == "verify":
-        code, rows = harness.run_verify(cfg, out=cfg.out)
+        from .verify import run_verify
+        code, rows = run_verify(cfg, out=cfg.out)
         for r in rows:
             status = "PASS" if r["pass"] else "FAIL"
             extra = f"  [{r['error']}]" if "error" in r else ""

@@ -14,7 +14,7 @@ from scipy.linalg import eigh
 
 from . import averaging, spectral
 from .graphs import SiteWeights, WeightedGraph
-from .simulate import SimOptions, make_rng, simulate_averaging_batch, simulate_splitting_batch
+from .simulate import SimOptions, make_rng, simulate_splitting_batch, wasserstein_estimate
 from .spectral import (
     Spectrum,
     StateSpaceCapError,
@@ -25,9 +25,7 @@ from .spectral import (
     generator_splitting,
     generator_splitting_labeled,
     multinomial_measure,
-    product_weights,
     spectral_gap,
-    transient_distribution,
     _symmetrized,
     _Uniformization,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "nash_diagnose",
     "l2_decomposition",
     "l2_sq_exact",
-    "pair_kernel_max_dev",
     "worst_l2_sq",
     "single_particle_spectrum",
 ]
@@ -126,31 +123,6 @@ def multinomial_tv_exact(eta, weights: SiteWeights, k: int,
     mu_eta = multinomial_measure(np.asarray(eta, float), k, space)
     mu_pi = multinomial_measure(weights, k, space)
     return float(0.5 * np.abs(mu_eta - mu_pi).sum())
-
-
-def wasserstein_estimate(graph: WeightedGraph, weights: SiteWeights, eta0,
-                         times, p: float, replicas: int, seed: int):
-    """Monte Carlo mean and standard error of ||eta_t/pi - 1||_p over the
-    averaging replicas 0..replicas-1 of ``seed``, run as one lockstep batch.
-
-    ``times`` is one time, giving (mean, stderr) floats, or an ascending
-    sequence of times, giving arrays of means and standard errors.
-    """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas for a standard error")
-    single = np.ndim(times) == 0
-    times = tuple(float(t) for t in np.atleast_1d(times))
-    opts = SimOptions(record_times=times, seed=seed)
-    norms, _ = simulate_averaging_batch(
-        graph, weights, eta0, opts, replicas,
-        observe=lambda block: averaging.transport_norm(block, weights, p))
-    # one contiguous row per time: the sums run as they would over a 1-d array
-    per_time = np.ascontiguousarray(norms.T)
-    means = per_time.mean(axis=1)
-    errs = per_time.std(axis=1, ddof=1) / math.sqrt(replicas)
-    if single:
-        return float(means[0]), float(errs[0])
-    return means, errs
 
 
 def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
@@ -443,14 +415,3 @@ def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t, tol: float = 1e-1
     kernels = _pair_diagonal_kernels(graph, weights, np.atleast_1d(t).tolist(), tol)
     out = [max(float(np.max(np.diag(M))) - 1.0, 0.0) for M in kernels]
     return out[0] if np.ndim(t) == 0 else out
-
-
-def pair_kernel_max_dev(graph: WeightedGraph, weights: SiteWeights, t: float,
-                        tol: float = 1e-10) -> float:
-    """max over pairs |p_t((x,y),(z,w)) / (pi_z pi_w) - 1| for the labeled
-    two-particle system."""
-    n = graph.n
-    Q2 = generator_splitting_labeled(graph, weights, 2)
-    # every start evolves at once: column s is the law from pair s
-    laws = transient_distribution(Q2, np.eye(n * n), t, tol)
-    return float(np.max(np.abs(laws / product_weights(weights, 2)[:, None] - 1.0)))

@@ -183,16 +183,6 @@ def inner_product(psi: TensorFunction, phi: TensorFunction,
     return float(np.sum(product_weights(weights, psi.k) * psi.values * phi.values))
 
 
-def orthogonal_duality_tensor(eta: np.ndarray, weights: SiteWeights, k: int) -> TensorFunction:
-    """The centered product observable as a k-tensor for a fixed mass profile."""
-    dev = np.asarray(eta, float) / weights.pi - 1.0
-    t = dev if k >= 1 else np.array(1.0)
-    for _ in range(k - 1):
-        t = np.multiply.outer(t, dev)
-    n = weights.pi.size
-    return TensorFunction(n, k, np.asarray(t).reshape(-1))
-
-
 def particle_removal_matrix(space_k: UnlabeledSpace,
                             space_km1: UnlabeledSpace) -> np.ndarray:
     """Occupancy-weighted sum over single-particle removals as a dense matrix.
@@ -220,8 +210,12 @@ def eigenfunction_observable(psi: TensorFunction, eta: np.ndarray,
     produces an eigenfunction of the averaging generator with the same decay
     rate (or the zero function).
     """
-    dbar = orthogonal_duality_tensor(eta, weights, psi.k)
-    return inner_product(psi, dbar, weights)
+    dev = np.asarray(eta, float) / weights.pi - 1.0
+    dbar = dev if psi.k >= 1 else np.array(1.0)
+    for _ in range(psi.k - 1):
+        dbar = np.multiply.outer(dbar, dev)
+    n = weights.pi.size
+    return inner_product(psi, TensorFunction(n, psi.k, np.asarray(dbar).reshape(-1)), weights)
 
 
 def multicolored_intertwining_residual(graph: WeightedGraph, weights: SiteWeights,

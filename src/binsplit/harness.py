@@ -1,6 +1,11 @@
-"""Config-driven experiment runner: gap sweeps, cutoff profiles, averaging
-mixing profiles, the complete-graph crossing experiment, heat-kernel
-dimension fits, and the deterministic verification battery.
+"""Config-driven experiment runner: config loading, time grids, CSV/SVG
+output, and the five runners (gap sweeps, cutoff profiles, averaging mixing
+profiles, the complete-graph crossing experiment, heat-kernel dimension
+fits).  The verification battery lives in :mod:`binsplit.verify`.
+
+Each runner imports the engine modules it calls in its own body, so a
+Monte Carlo run (the crossing experiment on a ``tstar`` grid) loads neither
+scipy nor the exact engine.
 
 CSV contract: profile files carry the header
 ``experiment,k,t,t_normalized,value,stderr,kind`` after a single
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import averaging, distances, duality, simulate, spectral
+from . import averaging, simulate
 from .graphs import (SiteWeights, WeightedGraph, build_graph, load_edge_list,
                      load_site_weights, site_weights, uniform_weights, vertex_orbits)
 
@@ -44,13 +48,11 @@ __all__ = [
     "run_avg_profile",
     "run_complete_cdsz",
     "run_nash",
-    "run_verify",
     "write_profile_csv",
     "read_profile_csv",
     "write_table",
     "read_table",
     "write_svg_line",
-    "VERIFY_CHECKS",
 ]
 
 # exact cutoff profiles start from the lowest vertex of every vertex orbit, or
@@ -173,9 +175,12 @@ def resolve_graph(spec: dict) -> WeightedGraph:
         spec["dims"] = _numbers("graph.dims", spec["dims"], int)
     for name in [f for f in _GRAPH_NUMBERS if f in spec]:
         spec[name] = _number(f"graph.{name}", spec[name], _GRAPH_NUMBERS[name])
-    if kind == "custom":
-        spec["edge_list"] = load_edge_list(spec.pop("path"))
-    return build_graph(kind, **spec)
+    try:
+        if kind == "custom":
+            spec["edge_list"] = load_edge_list(spec.pop("path"))
+        return build_graph(kind, **spec)
+    except ValueError as err:
+        raise ValueError(f"config key 'graph': {err}") from err
 
 
 def resolve_weights(spec: dict, n: int) -> SiteWeights:
@@ -390,6 +395,7 @@ def level_crossing_time(ts, vals, level: float) -> float:
 def run_gap_sweep(config: ExperimentConfig):
     """Spectral gaps of the k-particle systems across the graph suite,
     flagging any relative deviation from the single-particle gap above 1e-8."""
+    from . import spectral
     _check_keys(config, k=_K_RULE)
     graph_specs = config.extra.get("graphs") or [config.graph]
     rows = []
@@ -443,6 +449,7 @@ def run_cutoff_bin(config: ExperimentConfig):
     built once per k and the Wilson bound maximized over all Diracs.  Rows
     tagged ``tmix``, ``t_plus``, ``t_minus`` annotate the reference times.
     """
+    from . import distances, spectral
     _check_keys(config, window_C=(lambda cs: all(C >= 0 for C in cs), "nonnegative"),
                 k=_K_RULE)
     graph = resolve_graph(config.graph)
@@ -515,6 +522,7 @@ def _resolve_eta0(config: ExperimentConfig, graph: WeightedGraph) -> np.ndarray:
 def run_avg_profile(config: ExperimentConfig):
     """Monte Carlo transport-distance profiles of the averaging dynamics,
     with the exact evolved-density lower curve alongside."""
+    from . import distances
     _check_keys(config, k=_K_RULE, replicas=(lambda r: r >= 100, "≥ 100"),
                 p_norm=(lambda p: p >= 1, "≥ 1"))
     graph = resolve_graph(config.graph)
@@ -526,8 +534,8 @@ def run_avg_profile(config: ExperimentConfig):
     records = []
     for k in config.k:
         times = resolve_time_grid(config.times, t_rel, k)
-        means, errs = distances.wasserstein_estimate(graph, weights, eta0, times, p,
-                                                     config.replicas, config.seed)
+        means, errs = simulate.wasserstein_estimate(graph, weights, eta0, times, p,
+                                                    config.replicas, config.seed)
         scale = math.sqrt(k)
         for t, m, s in zip(times, means, errs):
             records.append(ProfileRecord("avg_profile", k, t, t / t_rel, m, s,
@@ -557,7 +565,7 @@ def run_complete_cdsz(config: ExperimentConfig):
     graph = resolve_graph(config.graph)
     n = graph.n
     if n < 64:
-        raise ValueError("complete-graph crossing experiment needs n >= 64")
+        raise ValueError(f"config key 'graph' has {n} vertices; the crossing experiment needs >= 64")
     weights = resolve_weights(config.weights, n)
     t_star = complete_graph_crossing_time(n)
     tspec = config.times
@@ -566,16 +574,16 @@ def run_complete_cdsz(config: ExperimentConfig):
         tspec = {"multiples": list(np.linspace(0.3, 1.8, 25)), **tspec, "mode": "trel"}
         times = resolve_time_grid(tspec, t_star)
     else:
-        spec1 = distances.single_particle_spectrum(graph, weights)
-        times = resolve_time_grid(tspec, spec1.t_rel)
+        from . import distances
+        times = resolve_time_grid(tspec, distances.single_particle_spectrum(graph, weights).t_rel)
     eta0 = _resolve_eta0(config, graph)
     roots = vertex_orbits(graph, weights)
     if np.count_nonzero(eta0) == 1 and np.any(roots != roots[np.argmax(eta0)]):
         key = "weights" if np.ptp(weights.pi) else "graph.conductance"
         raise ValueError(f"config key {key!r} breaks the vertex symmetry that makes the "
                          f"pile at one vertex the worst Dirac start")
-    means, errs = distances.wasserstein_estimate(graph, weights, eta0, times, 1.0,
-                                                 config.replicas, config.seed)
+    means, errs = simulate.wasserstein_estimate(graph, weights, eta0, times, 1.0,
+                                                config.replicas, config.seed)
     records = [ProfileRecord("cdsz", 1, t, t / t_star, float(m), float(s), "wasserstein")
                for t, m, s in zip(times, means, errs)]
     crossing = level_crossing_time(times, means, 1.0)
@@ -591,6 +599,7 @@ def run_complete_cdsz(config: ExperimentConfig):
 
 def run_nash(config: ExperimentConfig):
     """Heat-kernel decay profiles and effective-dimension diagnoses."""
+    from . import distances
     graph_specs = config.extra.get("graphs") or [config.graph]
     rows = []
     records = []
@@ -626,294 +635,3 @@ def _maybe_svg(out_dir, name, records, kind):
     if len(pts) >= 2:
         xs, ys = zip(*sorted(pts))
         write_svg_line(os.path.join(out_dir, f"{name}.svg"), xs, ys, title=name)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic verification battery
-
-
-def _check_intertwining():
-    graph = build_graph("path", size=3)
-    weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(7, 0, stream=4)
-    worst = 0.0
-    for k in (1, 2):
-        space = spectral.enumerate_configs(3, k)
-        for _ in range(25):
-            f = rng.standard_normal(space.size)
-            eta = rng.dirichlet(np.ones(3))
-            worst = max(worst, duality.intertwining_residual(graph, weights, k,
-                                                             f, eta, space))
-    return worst, 1e-12
-
-
-def _labeled_duality_residual(centered: bool) -> float:
-    graph = build_graph("path", size=3)
-    weights = site_weights([0.2, 0.3, 0.5])
-    k = 2
-    Q = spectral.generator_splitting_labeled(graph, weights, k).toarray()
-    tuples = spectral.labeled_states(3, k)
-    rng = simulate.make_rng(11, 0, stream=4)
-    dual = duality.orthogonal_duality if centered else duality.moment_duality
-    worst = 0.0
-    for _ in range(30):
-        eta = rng.dirichlet(np.ones(3))
-        dvec = np.array([dual(xs, eta, weights) for xs in tuples])
-        rhs = Q @ dvec
-        for i, xs in enumerate(tuples):
-            lhs = averaging.avg_generator_apply(lambda e: dual(xs, e, weights),
-                                                eta, graph, weights)
-            worst = max(worst, abs(lhs - rhs[i]))
-    return worst
-
-
-def _check_moment_duality():
-    return _labeled_duality_residual(False), 1e-10
-
-
-def _check_orthogonal_duality():
-    return _labeled_duality_residual(True), 1e-10
-
-
-def _check_self_duality():
-    graph = build_graph("cycle", size=3)
-    weights = uniform_weights(3)
-    res = duality.selfduality_residual(graph, weights, k=1, ell=2, t=0.7, tol=1e-9)
-    return res, 1e-7
-
-
-def _check_jk_intertwining():
-    graph = build_graph("path", size=3)
-    weights = site_weights([0.25, 0.3, 0.45])
-    s2 = spectral.enumerate_configs(3, 2)
-    s3 = spectral.enumerate_configs(3, 3)
-    Q2 = spectral.generator_splitting(graph, weights, 2, s2).toarray()
-    Q3 = spectral.generator_splitting(graph, weights, 3, s3).toarray()
-    J = duality.particle_removal_matrix(s3, s2)
-    return float(np.max(np.abs(Q3 @ J - J @ Q2))), 1e-11
-
-
-def _check_jk_injective():
-    s2 = spectral.enumerate_configs(3, 2)
-    s3 = spectral.enumerate_configs(3, 3)
-    J = duality.particle_removal_matrix(s3, s2)
-    deficiency = s2.size - np.linalg.matrix_rank(J)
-    return float(deficiency), 0.5
-
-
-def _check_adjointness():
-    weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(13, 0, stream=4)
-    worst = 0.0
-    for k in (2, 3):
-        for i in (1, k):
-            psi = duality.TensorFunction(3, k - 1, rng.standard_normal(3 ** (k - 1)))
-            phi = duality.TensorFunction(3, k, rng.standard_normal(3 ** k))
-            lhs = duality.inner_product(duality.annihilate(psi, i), phi, weights)
-            rhs = duality.inner_product(psi, duality.create(phi, i, weights), weights)
-            worst = max(worst, abs(lhs - rhs))
-    return worst, 1e-12
-
-
-def _check_f_psi_eigen():
-    graph = build_graph("path", size=3)
-    weights = site_weights([0.2, 0.3, 0.5])
-    Q = spectral.generator_splitting_labeled(graph, weights, 2)
-    mu2 = spectral.product_weights(weights, 2)
-    lam = spectral.spectral_gap(Q, mu2).gap
-    rng = simulate.make_rng(17, 0, stream=4)
-    # all eigenfunctions at the gap eigenvalue
-    w, V = np.linalg.eigh(spectral._symmetrized(Q, mu2).toarray())
-    worst = 0.0
-    for j in np.nonzero(np.abs(w - lam) <= 1e-9 * w[-1])[0]:
-        psi = duality.TensorFunction(3, 2, V[:, j] / np.sqrt(mu2))
-        for _ in range(10):
-            eta = rng.dirichlet(np.ones(3))
-            lhs = averaging.avg_generator_apply(
-                lambda e: duality.eigenfunction_observable(psi, e, weights),
-                eta, graph, weights)
-            rhs = -lam * duality.eigenfunction_observable(psi, eta, weights)
-            worst = max(worst, abs(lhs - rhs))
-    return worst, 1e-9
-
-
-def _check_dirichlet_ordering():
-    graph = build_graph("cycle", size=4)
-    weights = site_weights([0.1, 0.2, 0.3, 0.4])
-    Q2 = spectral.generator_splitting_labeled(graph, weights, 2)
-    mu2 = spectral.product_weights(weights, 2)
-    rng = simulate.make_rng(19, 0, stream=4)
-    worst = 0.0
-    for _ in range(200):
-        psi2 = rng.standard_normal(16)
-        e_pair = spectral.dirichlet_form(Q2, mu2, psi2)
-        e_ind = spectral.dirichlet_independent_pair(graph, weights, psi2)
-        worst = max(worst, 0.5 * e_ind - e_pair, e_pair - e_ind)
-    return worst, 1e-12
-
-
-def _check_dirichlet_identity():
-    graph = build_graph("cycle", size=4)
-    weights = site_weights([0.1, 0.2, 0.3, 0.4])
-    Q2 = spectral.generator_splitting_labeled(graph, weights, 2)
-    mu2 = spectral.product_weights(weights, 2)
-    rng = simulate.make_rng(23, 0, stream=4)
-    worst = 0.0
-    for _ in range(100):
-        psi2 = rng.standard_normal(16)
-        e_pair = spectral.dirichlet_form(Q2, mu2, psi2)
-        e_ind = spectral.dirichlet_independent_pair(graph, weights, psi2)
-        defect = spectral.dirichlet_defect_form(graph, weights, psi2)
-        worst = max(worst, abs(e_pair - (e_ind - defect)))
-    return worst, 1e-10
-
-
-def _check_gap_identity():
-    graph = build_graph("path", size=3)
-    weights = site_weights([0.2, 0.3, 0.5])
-    gap1 = distances.single_particle_spectrum(graph, weights).gap
-    worst = 0.0
-    for k in (2, 3):
-        space = spectral.enumerate_configs(3, k)
-        Q = spectral.generator_splitting(graph, weights, k, space)
-        mu = spectral.multinomial_measure(weights, k, space)
-        worst = max(worst, abs(spectral.spectral_gap(Q, mu).gap / gap1 - 1.0))
-    return worst, 1e-9
-
-
-def _check_aldous_lanoue():
-    graph = build_graph("cycle", size=4)
-    weights = site_weights([0.1, 0.2, 0.3, 0.4])
-    rng = simulate.make_rng(29, 0, stream=4)
-    worst = 0.0
-    for _ in range(1000):
-        eta = rng.dirichlet(np.ones(4))
-        e = graph.edges[int(rng.integers(graph.n_edges))]
-        before = averaging.transport_norm(eta, weights, 2.0) ** 2
-        after = averaging.transport_norm(
-            averaging.edge_update(eta, (e[0], e[1]), weights), weights, 2.0) ** 2
-        worst = max(worst, abs((after - before) -
-                               averaging.l2_drop(eta, (e[0], e[1]), weights)))
-    return worst, 1e-12
-
-
-def _check_multinomial_tv_bound():
-    weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(31, 0, stream=4)
-    worst = -math.inf
-    for k in (1, 2, 3, 4):
-        space = spectral.enumerate_configs(3, k)
-        for _ in range(20):
-            eta = rng.dirichlet(np.ones(3))
-            exact = distances.multinomial_tv_exact(eta, weights, k, space)
-            bound = distances.tv_bound_multinomial(eta, weights, k)
-            worst = max(worst, exact - bound)
-    return max(worst, 0.0), 1e-12
-
-
-def _check_chi2_formula():
-    weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(37, 0, stream=4)
-    worst = 0.0
-    for k in (1, 2, 3, 4):
-        space = spectral.enumerate_configs(3, k)
-        mu_pi = spectral.multinomial_measure(weights, k, space)
-        for _ in range(10):
-            eta = rng.dirichlet(np.ones(3))
-            mu_eta = spectral.multinomial_measure(eta, k, space)
-            chi2_enum = float(np.sum(mu_eta ** 2 / mu_pi) - 1.0)
-            worst = max(worst, abs(chi2_enum - distances.chi2_multinomial(eta, weights, k)))
-    return worst, 1e-10
-
-
-def _check_nt_consistency():
-    graph = build_graph("cycle", size=4)
-    weights = site_weights([0.1, 0.2, 0.3, 0.4])
-    rng = simulate.make_rng(41, 0, stream=4)
-    worst = 0.0
-    for _ in range(5):
-        eta = rng.dirichlet(np.ones(4))
-        for t in (0.4, 1.1):
-            h_term, nt_term = distances.l2_decomposition(graph, weights, eta, t, 1e-10)
-            direct = distances.l2_sq_exact(graph, weights, eta, t, 1e-10)
-            worst = max(worst, abs(h_term + nt_term - direct))
-    return worst, 1e-9
-
-
-def _check_multicolored_intertwining():
-    graph = build_graph("cycle", size=3)
-    weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(47, 0, stream=4)
-    worst = 0.0
-    for xi in ((1, 1, 1), (2, 1, 0), (3, 0, 0)):
-        spaces = {kz: spectral.enumerate_configs(3, kz) for kz in set(xi)}
-        for _ in range(10):
-            fs = [rng.standard_normal(spaces[kz].size) for kz in xi]
-            etas = [rng.dirichlet(np.ones(3)) for _ in range(3)]
-            worst = max(worst, duality.multicolored_intertwining_residual(
-                graph, weights, xi, fs, etas))
-    return worst, 1e-11
-
-
-def _check_multicolored_projection():
-    graph = build_graph("path", size=3)
-    weights = uniform_weights(3)
-    xi0 = np.array([2, 1, 0])
-    times = (0.3, 0.9, 1.7)
-    worst = 0
-    for rep in range(20):
-        opts = simulate.SimOptions(record_times=times, seed=43, replica_id=rep)
-        colored = simulate.simulate_multicolored(graph, weights, xi0, opts)
-        plain = simulate.simulate_splitting(graph, weights, xi0, opts)
-        for c, p in zip(colored, plain):
-            worst = max(worst, int(np.max(np.abs(c.sum(axis=0) - p))))
-    return float(worst), 0.5
-
-
-VERIFY_CHECKS = (
-    ("intertwining", _check_intertwining),
-    ("moment_duality", _check_moment_duality),
-    ("orthogonal_duality", _check_orthogonal_duality),
-    ("self_duality", _check_self_duality),
-    ("jk_intertwining", _check_jk_intertwining),
-    ("jk_injective", _check_jk_injective),
-    ("adjointness", _check_adjointness),
-    ("f_psi_eigen", _check_f_psi_eigen),
-    ("dirichlet_ordering", _check_dirichlet_ordering),
-    ("dirichlet_identity", _check_dirichlet_identity),
-    ("gap_identity", _check_gap_identity),
-    ("aldous_lanoue", _check_aldous_lanoue),
-    ("multinomial_tv_bound", _check_multinomial_tv_bound),
-    ("chi2_formula", _check_chi2_formula),
-    ("nt_consistency", _check_nt_consistency),
-    ("multicolored_intertwining", _check_multicolored_intertwining),
-    ("multicolored_projection", _check_multicolored_projection),
-)
-
-
-def run_verify(config: ExperimentConfig | None = None, out: str | None = None):
-    """Run the deterministic residual battery.
-
-    Returns (exit_code, rows); exit code 0 only if every residual passes.
-    Individual check failures (including exceptions) are reported, never
-    raised.  Rows go to ``verify.jsonl`` under ``out`` when given.
-    """
-    out = out or (config.out if config else None)
-    rows = []
-    for name, fn in VERIFY_CHECKS:
-        try:
-            residual, tol = fn()
-            rows.append({"check": name, "residual": float(residual),
-                         "tolerance": float(tol),
-                         "pass": bool(residual <= tol)})
-        except Exception as err:  # a failing check must not kill the battery
-            rows.append({"check": name, "residual": math.inf,
-                         "tolerance": math.nan, "pass": False,
-                         "error": f"{type(err).__name__}: {err}"})
-    if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "verify.jsonl"), "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
-    exit_code = 0 if all(r["pass"] for r in rows) else 1
-    return exit_code, rows

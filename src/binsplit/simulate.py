@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import averaging
 from .graphs import SiteWeights, WeightedGraph
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "make_rng",
     "simulate_averaging",
     "simulate_averaging_batch",
+    "wasserstein_estimate",
     "simulate_splitting_batch",
     "simulate_splitting",
     "simulate_multicolored",
@@ -232,6 +234,22 @@ def simulate_averaging_batch(graph: WeightedGraph, weights: SiteWeights, eta0,
     values = _lockstep(_sim_tables(graph, weights), opts, np.broadcast_to(eta0, (replicas, n)),
                        1, _apply_marks, observe or np.copy, guard)
     return values, drift
+
+
+def wasserstein_estimate(graph: WeightedGraph, weights: SiteWeights, eta0,
+                         times, p: float, replicas: int, seed: int):
+    """Monte Carlo means and standard errors of ||eta_t/pi - 1||_p at each
+    of the ascending ``times``, over the averaging replicas 0..replicas-1 of
+    ``seed`` run as one lockstep batch."""
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas for a standard error")
+    opts = SimOptions(record_times=tuple(float(t) for t in times), seed=seed)
+    norms, _ = simulate_averaging_batch(
+        graph, weights, eta0, opts, replicas,
+        observe=lambda block: averaging.transport_norm(block, weights, p))
+    # one contiguous row per time: the sums run as they would over a 1-d array
+    per_time = np.ascontiguousarray(norms.T)
+    return per_time.mean(axis=1), per_time.std(axis=1, ddof=1) / math.sqrt(replicas)
 
 
 def simulate_averaging(graph: WeightedGraph, weights: SiteWeights, eta0,

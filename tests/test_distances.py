@@ -8,7 +8,7 @@ from binsplit.averaging import transport_norm
 from binsplit.distances import (chi2_multinomial, evolved_density,
                                 heat_kernel_max_profile, l2_decomposition,
                                 l2_sq_exact, multinomial_tv_exact, nash_diagnose,
-                                nash_fit, pair_kernel_max_dev,
+                                nash_fit,
                                 single_particle_spectrum, tv_bound_from_l2,
                                 tv_bound_multinomial, tv_profile_exact, wasserstein_estimate,
                                 wilson_dirac_lower_bounds, wilson_report,
@@ -16,7 +16,8 @@ from binsplit.distances import (chi2_multinomial, evolved_density,
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
 from binsplit.spectral import (enumerate_configs, generator_single_particle,
-                               multinomial_measure, transient_distribution)
+                               generator_splitting_labeled, multinomial_measure,
+                               product_weights, transient_distribution)
 
 
 def dirac(n, x):
@@ -111,16 +112,12 @@ def test_wasserstein_estimate_examples():
     g = cycle_graph(4)
     w = uniform_weights(4)
     eta0 = np.array([0.7, 0.1, 0.1, 0.1])
-    mean, err = wasserstein_estimate(g, w, eta0, 0.0, 2.0, 8, seed=1)
-    assert mean == pytest.approx(transport_norm(eta0, w, 2.0))
-    assert err == 0.0
+    mean, err = wasserstein_estimate(g, w, eta0, [0.0], 2.0, 8, seed=1)
+    assert mean.shape == err.shape == (1,)
+    assert mean[0] == pytest.approx(transport_norm(eta0, w, 2.0))
+    assert err[0] == 0.0
     with pytest.raises(ValueError):
-        wasserstein_estimate(g, w, eta0, 1.0, 2.0, 1, seed=1)
-    # one time gives floats, a sequence of one time gives arrays of the same values
-    m1, e1 = wasserstein_estimate(g, w, eta0, 0.8, 2.0, 64, seed=2)
-    ms, es = wasserstein_estimate(g, w, eta0, [0.8], 2.0, 64, seed=2)
-    assert isinstance(m1, float) and ms.shape == es.shape == (1,)
-    assert m1 == ms[0] and e1 == es[0]
+        wasserstein_estimate(g, w, eta0, [1.0], 2.0, 1, seed=1)
     # a profile is reproducible and never increases
     times = [0.2, 0.8, 1.5]
     ma, ea = wasserstein_estimate(g, w, eta0, times, 1.0, 50, seed=3)
@@ -198,13 +195,15 @@ def test_l2_decomposition_examples():
     assert h0 == pytest.approx(transport_norm(eta, w, 2.0) ** 2)
     t_rel = single_particle_spectrum(g, w).t_rel
     base = transport_norm(eta, w, 2.0) ** 2
+    Q2, mu2 = generator_splitting_labeled(g, w, 2), product_weights(w, 2)
     for t in (0.3, 1.0, 2.5):
         h, nt = l2_decomposition(g, w, eta, t, 1e-10)
         direct = l2_sq_exact(g, w, eta, t, 1e-10)
         assert abs(h + nt - direct) <= 1e-9
         assert h + nt <= math.exp(-t / t_rel) * base + 1e-9
         # the averaged squared error never exceeds the worst pair deviation
-        assert direct <= pair_kernel_max_dev(g, w, t, 1e-10) + 1e-9
+        laws = transient_distribution(Q2, np.eye(25), t, 1e-10)
+        assert direct <= float(np.max(np.abs(laws / mu2[:, None] - 1.0))) + 1e-9
 
 
 def test_l2_decomposition_matches_monte_carlo():
@@ -232,7 +231,7 @@ def test_lower_bound_ordering_monte_carlo():
     eta = np.array([0.6, 0.2, 0.1, 0.05, 0.05])
     t = 1.2
     for p in (1.0, 2.0):
-        mean, err = wasserstein_estimate(g, w, eta, t, p, 800, seed=44)
+        (mean,), (err,) = wasserstein_estimate(g, w, eta, [t], p, 800, seed=44)
         h = evolved_density(g, w, eta, t)
         lower = float(np.sum(w.pi * np.abs(h - 1.0) ** p) ** (1.0 / p))
         assert lower <= mean + 4 * err

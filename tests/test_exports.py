@@ -10,7 +10,8 @@ import pytest
 
 import binsplit
 
-MODULES = ("graphs", "spectral", "averaging", "simulate", "distances", "duality", "harness")
+MODULES = ("graphs", "spectral", "averaging", "simulate", "distances", "duality", "harness",
+           "verify")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -22,13 +23,22 @@ def test_all_names_resolve_and_star_import(name):
     assert set(module.__all__) <= set(namespace)
 
 
-def test_monte_carlo_modules_load_without_scipy():
-    # the package __init__ imports no module, so the Monte Carlo side of the
-    # package loads without scipy
+def test_monte_carlo_modules_load_without_scipy(tmp_path):
+    # the package __init__ imports no module and each runner imports the
+    # engines it calls, so neither the Monte Carlo modules, nor the harness,
+    # nor a crossing run on a tstar grid load scipy or the exact engine
     src = os.path.dirname(os.path.dirname(binsplit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    config = tmp_path / "cdsz.yaml"
+    config.write_text("graph: {kind: complete, size: 64}\nreplicas: 4\n"
+                      "times: {mode: tstar, multiples: [0.5, 1.0, 1.5]}\n")
+    loaded = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
+              "('binsplit.duality', 'binsplit.distances', 'binsplit.spectral'))); ")
     code = ("import sys, yaml, binsplit.simulate, binsplit.averaging, binsplit.graphs; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+            + loaded + "import binsplit.harness; " + loaded
+            + "from binsplit.cli import main; "
+            "main(['cdsz', '--config', sys.argv[1], '--out', sys.argv[2]]); " + loaded)
+    out = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert [ln for ln in out.stdout.splitlines() if ln.startswith("[")] == ["[]"] * 3
+    assert (tmp_path / "out" / "cdsz.csv").exists()

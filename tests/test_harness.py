@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from binsplit import averaging, distances, harness, spectral
+from binsplit import averaging, distances, harness, spectral, verify
 from binsplit.cli import main as cli_main
 from binsplit.graphs import cycle_graph, uniform_weights
 from binsplit.harness import (ExperimentConfig, ProfileRecord,
@@ -14,7 +14,7 @@ from binsplit.harness import (ExperimentConfig, ProfileRecord,
                               precutoff_times, read_profile_csv, read_table,
                               resolve_time_grid, run_avg_profile,
                               run_complete_cdsz, run_cutoff_bin, run_gap_sweep,
-                              run_nash, run_verify, window_times,
+                              run_nash, window_times,
                               write_profile_csv)
 
 
@@ -407,14 +407,14 @@ def test_nash_runner_writes_the_configured_grid(tmp_path):
 
 
 def test_verify_battery_passes_and_counts():
-    code, rows = run_verify()
+    code, rows = verify.run_verify()
     assert code == 0
-    assert len(rows) == len(harness.VERIFY_CHECKS)
+    assert len(rows) == len(verify.VERIFY_CHECKS)
     assert all(r["pass"] for r in rows)
 
 
 def test_verify_writes_jsonl(tmp_path):
-    code, rows = run_verify(out=str(tmp_path))
+    code, rows = verify.run_verify(out=str(tmp_path))
     lines = (tmp_path / "verify.jsonl").read_text().splitlines()
     assert len(lines) == len(rows)
     parsed = [json.loads(ln) for ln in lines]
@@ -431,7 +431,7 @@ def test_verify_mutation_detects_sign_error(monkeypatch):
         return out
 
     monkeypatch.setattr(averaging, "edge_update", broken)
-    code, rows = run_verify()
+    code, rows = verify.run_verify()
     assert code != 0
     inter = next(r for r in rows if r["check"] == "intertwining")
     assert not inter["pass"]
@@ -564,11 +564,25 @@ def test_eta0_out_of_range_or_wrong_length_names_its_key(eta0, message):
     ({"kind": "percolation_box", "dims": [4, 4], "seed": 1}, None,
      "'graph' of kind 'percolation_box' needs field 'p_open'"),
     ({"kind": "cycle", "size": 8}, {"dirc": 1}, r"'eta0' must be a vector or \{dirac: vertex\}"),
+    # the builders' own checks, reached through the config
+    ({"kind": "cycle", "size": 1}, None, "'graph': cycle size must be >= 2"),
+    ({"kind": "torus", "dims": [0, 3]}, None, "'graph': torus dims must be >= 1"),
+    ({"kind": "sierpinski", "level": 9}, None, "'graph': level capped at 7"),
+    ({"kind": "percolation_box", "dims": [4, 4], "p_open": 1.5, "seed": 1}, None,
+     r"'graph': p_open must lie in \(0, 1\]"),
+    ({"kind": "cycle", "size": 4, "conductance": -1}, None,
+     "'graph': conductance must be positive"),
+    ({"kind": "cycle", "size": 4, "conductance": [1, 2]}, None,
+     "'graph': need 4 conductances, got 2"),
+    ({"kind": "complete", "size": 32}, None,
+     "'graph' has 32 vertices; the crossing experiment needs >= 64"),
 ])
 def test_bad_graph_field_or_eta0_names_its_key(graph, eta0, message):
     cfg = ExperimentConfig(graph=graph, eta0=eta0, replicas=100)
+    # the vertex floor belongs to the crossing experiment alone
+    run = run_complete_cdsz if graph["kind"] == "complete" else run_avg_profile
     with pytest.raises(ValueError, match=message):
-        run_avg_profile(cfg)
+        run(cfg)
 
 
 @pytest.mark.parametrize("graph, weights, eta0, message", [

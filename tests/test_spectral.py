@@ -539,12 +539,14 @@ def test_pair_energy_identity_and_ordering():
 def test_pair_kernel_log_convex_decay_fingerprint():
     # the worst pairwise deviation of the two-particle kernel decays
     # log-convexly past the relaxation time, under a fitted exponential cap
-    from binsplit.distances import pair_kernel_max_dev, single_particle_spectrum
+    from binsplit.distances import single_particle_spectrum
     g = cycle_graph(6)
     w = uniform_weights(6)
     t_rel = single_particle_spectrum(g, w).t_rel
     ts = np.linspace(2.0, 5.0, 7) * t_rel
-    devs = np.array([pair_kernel_max_dev(g, w, t, 1e-11) for t in ts])
+    Q2, mu2 = generator_splitting_labeled(g, w, 2), product_weights(w, 2)
+    devs = np.array([np.max(np.abs(transient_distribution(Q2, np.eye(36), t, 1e-11)
+                                   / mu2[:, None] - 1.0)) for t in ts])
     logs = np.log(devs)
     assert np.all(np.diff(logs) < 0)
     assert np.all(np.diff(logs, 2) >= -1e-8)
