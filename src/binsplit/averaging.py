@@ -84,9 +84,14 @@ def transport_norm(eta: np.ndarray, weights: SiteWeights, p: float):
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    dev = np.abs(np.asarray(eta, float) / weights.pi - 1.0)
+    dev = np.asarray(eta, float) / weights.pi
+    dev -= 1.0
+    np.abs(dev, out=dev)
     if math.isinf(p):
         norm = dev.max(axis=-1)
     else:
-        norm = np.sum(weights.pi * dev ** p, axis=-1) ** (1.0 / p)
+        if p != 1.0:
+            dev **= p
+        dev *= weights.pi
+        norm = np.sum(dev, axis=-1) ** (1.0 / p)
     return float(norm) if norm.ndim == 0 else norm

@@ -433,7 +433,7 @@ def _worst_dirac_starts(graph: WeightedGraph, weights: SiteWeights, seed: int):
     reps = np.sort(np.unique(vertex_orbits(graph, weights), return_index=True)[1])
     if reps.size <= WORST_START_ENUM_MAX_N:
         return reps.tolist()
-    rng = simulate.make_rng(seed, 0, stream=3)
+    rng = simulate.make_rng(seed, stream=3)
     return reps[np.sort(rng.choice(reps.size, size=WORST_START_ENUM_MAX_N,
                                    replace=False))].tolist()
 

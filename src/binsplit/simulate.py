@@ -5,24 +5,30 @@ counter-based random streams.
 Independent per-edge clocks are equal in law to one Poisson clock at the
 total conductance C whose events pick edge xy with probability c_xy / C, and
 a recorded state depends only on the events before it and their edges.  So
-replica r, on the Philox stream keyed by (seed, r, stream 0), draws per record
-interval of length dt a Poisson(C dt) event count, then per event, in order,
-1 + k uniforms: a mark that picks the edge by conductance, then k particle
-uniforms, of which the m particles on the edge take the first m in coordinate
-order and go to x when theirs is below x's share.  ``STREAM_LAYOUT`` (3)
-numbers this layout; the averaging dynamics are its k = 0 case, drawn as in
-layout 2.  A guide table finds each mark's edge, the one a binary search over
-cumulative conductances picks, so values at a fixed seed do not depend on the
-lookup.  Both dynamics run through one lockstep engine whose row r is
-bit-identical to replica r run alone.  The Binomial(m, p) re-split of the
-unlabeled process is the count of the m choices, so the unlabeled and
-multicolored runs count per vertex, or per color and vertex, the labeled run
-of the particles sorted by start vertex; the color-blind sum of a
-multicolored run is the uncolored run under the same seed.
+per record interval i, of length dt, replica r reads one uniform of stream
+1, which an inverse-CDF table turns into its Poisson(C dt) event count, then
+reads its events from stream 0 in chunks of S, chunk c holding events cS to
+cS + S - 1: per event 1 + k uniforms, a mark that picks the edge by
+conductance, then k particle uniforms, of which the m particles on the edge
+take the first m in coordinate order and go to x when theirs is below x's
+share.  Stream s is the Philox key (seed, s·2^56) of make_rng, read by
+slice: replica r's slice (i, c) of L uniforms starts at counter words
+(rL/4, i, c), where S and L, a multiple of 4, depend on C dt and k alone, so
+one call reads the slices of a whole group of replicas and row r of a batch
+is bit-identical to replica r run alone.  ``STREAM_LAYOUT`` (4) numbers this
+layout; the averaging dynamics are its k = 0 case.  A guide table finds each
+mark's edge, the one a binary search over cumulative conductances picks, so
+values at a fixed seed do not depend on the lookup.  Both dynamics run
+through one lockstep engine.  The Binomial(m, p) re-split of the unlabeled
+process is the count of the m choices, so the unlabeled and multicolored
+runs count per vertex, or per color and vertex, the labeled run of the
+particles sorted by start vertex; the color-blind sum of a multicolored run
+is the uncolored run under the same seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,27 +51,79 @@ __all__ = [
 ]
 
 # Version of the draw order above; results at a fixed seed change with it.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 DRIFT_TOL = 1e-12          # largest mass defect of a recorded averaging state
+CHUNK_UNIFORMS = 16        # uniforms per replica in a chunk, or one event if wider; layout-fixed
 GROUP_BYTES = 1 << 21      # working memory of one lockstep group of replicas
-MAX_HELD_MARKS = 4096      # uniforms one replica holds at once in a group
 MARK_BYTES = 64            # working bytes per held event (mark, edge, indices)
 
 
-def make_rng(seed: int, replica_id: int = 0, stream: int = 0) -> np.random.Generator:
-    """Philox stream keyed by (seed, replica_id, stream); bit-stable across runs.
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Philox stream keyed by (seed, stream·2^56); bit-stable across runs.
 
-    ``stream`` separates independent draw purposes inside one replica (0 for
-    the event stream, nonzero for auxiliary draws such as random initial
-    states), so consumers never share or reuse a stream.
+    ``stream`` separates independent draw purposes (3 for the harness's
+    random starts, 4 for the verification battery), so consumers never share
+    or reuse a stream.  Streams 0 to 2 are read by slice: events, event
+    counts, and the starts of ``distances.wilson_report``.
     """
-    if not (0 <= replica_id < 1 << 56):
-        raise ValueError("replica_id must fit in 56 bits")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                    (replica_id | (stream << 56)) & 0xFFFFFFFFFFFFFFFF],
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (stream << 56) & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class _Slices:
+    """The uniforms of the Philox key of make_rng(seed, stream), read by
+    slice: replica r's slice (i, c) of L uniforms, L a multiple of 4,
+    starts at counter words (rL/4, i, c), so one read fills the slices of
+    consecutive replicas, each as it reads alone.  Replicas below ``end``
+    read slices of at most ``span`` uniforms, which must not carry into the
+    interval word."""
+
+    def __init__(self, seed: int, stream: int, end: int, span: int):
+        if end * (span // 4) > 1 << 64:
+            raise ValueError(f"replica_id + replicas = {end} passes {(1 << 64) // (span // 4)}, "
+                             f"the replicas whose slices of {span} uniforms fit a counter word")
+        self._gen = make_rng(seed, stream)
+        self._state = self._gen.bit_generator.state
+
+    def read(self, out: np.ndarray, first: int, i: int = 0, c: int = 0) -> np.ndarray:
+        """Fill the (rows, L) array ``out`` with slice (i, c) of replicas
+        first, ..., first + rows - 1."""
+        # numpy's Philox steps its counter before it computes a block
+        block = (c << 128 | i << 64 | first * (out.shape[1] // 4)) - 1
+        self._state["state"]["counter"] = np.array(
+            [block >> shift & 0xFFFFFFFFFFFFFFFF for shift in (0, 64, 128, 192)], np.uint64)
+        self._state["buffer_pos"] = 4
+        self._gen.bit_generator.state = self._state
+        return self._gen.random(out=out)
+
+
+def _slice_len(events: int, width: int) -> int:
+    """Uniforms in a slice of ``events`` events of ``width`` uniforms: whole
+    Philox blocks of 4."""
+    return -(-events * width // 4) * 4
+
+
+def _chunk_events(lam: float, width: int) -> int:
+    """Events per replica in one chunk of an interval with ``lam`` expected
+    events of ``width`` uniforms each."""
+    return max(1, min(math.ceil(lam), CHUNK_UNIFORMS // width))
+
+
+@lru_cache(maxsize=64)
+def _poisson_cdf(lam: float) -> np.ndarray:
+    """P(N <= j) for N ~ Poisson(lam) and j up to lam + 12 sqrt(lam) + 40 (a
+    tail below 1e-30), summed in order from log-space terms, with the last
+    entry +inf: ``searchsorted(cdf, u, "right")`` is the count u draws."""
+    top = int(lam + 12.0 * math.sqrt(lam) + 40.0)
+    log_lam = math.log(lam) if lam > 0.0 else -math.inf
+    terms = (math.exp(j * log_lam - lam - math.lgamma(j + 1)) if j else math.exp(-lam)
+             for j in range(top))
+    cdf = np.fromiter(itertools.accumulate(terms), float, top)
+    cdf[-1] = np.inf
+    cdf.flags.writeable = False
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -83,6 +141,8 @@ class SimOptions:
             raise ValueError("record_times must be sorted ascending")
         if rec and rec[0] < 0.0:
             raise ValueError("record_times must be nonnegative")
+        if self.replica_id < 0:
+            raise ValueError("replica_id must be nonnegative")
         object.__setattr__(self, "record_times", rec)
 
 
@@ -111,6 +171,12 @@ class _Tables:
         np.put(j, left, np.searchsorted(cum, target.ravel()[left], side="right"))
         return j
 
+    def endpoints(self, marks: np.ndarray):
+        """(x, y, px) of the edges of (rows, steps) marks, each (steps, rows)
+        and C-contiguous, so that a step reads one contiguous row of each."""
+        e = np.ascontiguousarray(self.edges_of(marks).T)
+        return self.x[e], self.y[e], self.px[e]
+
 
 @lru_cache(maxsize=16)
 def _sim_tables(graph: WeightedGraph, weights: SiteWeights) -> _Tables:
@@ -124,15 +190,17 @@ def _sim_tables(graph: WeightedGraph, weights: SiteWeights) -> _Tables:
     return _Tables(total=total, cum=cum, guide=guide, x=x, y=y, px=pi[x] / (pi[x] + pi[y]))
 
 
-def _group_shape(cols: int, expected_events: float, width: int):
-    """(replicas per lockstep group, events each of them holds at once): a
-    row's ``cols`` state entries plus the draws of its held events, ``width``
-    uniforms each and at most MAX_HELD_MARKS uniforms in all, fit in
-    GROUP_BYTES; a row holds the events of the longest interval when it can."""
-    held = max(1, int(min(MAX_HELD_MARKS // width,
-                          expected_events + 6.0 * math.sqrt(expected_events) + 1.0)))
-    row_bytes = 8 * cols + held * (MARK_BYTES + 8 * (width - 1))
-    return max(1, GROUP_BYTES // row_bytes), held
+def _group_shape(replicas: int, cols: int, events: int, width: int):
+    """(replicas per lockstep group, rows per observe call): a row's ``cols``
+    state entries and one chunk of ``events`` events, each ``width`` uniforms
+    and MARK_BYTES of working memory, fit in GROUP_BYTES, in as few groups of
+    even size as that allows.  An observe call gets no more state entries
+    than the chunk has events, so its temporaries, up to MARK_BYTES per
+    entry, reuse the events' working memory."""
+    row_bytes = 8 * cols + 8 * _slice_len(events, width) + MARK_BYTES * events
+    groups = max(1, -(-replicas // max(1, GROUP_BYTES // row_bytes)))
+    group = max(1, -(-replicas // groups))
+    return group, max(1, group * events // max(1, cols))
 
 
 def _lockstep(tab: _Tables, opts: SimOptions, start: np.ndarray, width: int,
@@ -140,8 +208,8 @@ def _lockstep(tab: _Tables, opts: SimOptions, start: np.ndarray, width: int,
     """The one replica engine: ``values[r, i]`` is row r of ``observe(block)``
     at record time i, row r of ``start`` run as replica opts.replica_id + r.
 
-    Each row draws per interval its event count, then ``width`` uniforms per
-    event, in chunks of held events; ``step(state, order, active, x, y, px,
+    Per interval a group of rows reads its event counts, then its chunks of
+    events, ``width`` uniforms each; ``step(state, order, active, x, y, px,
     draws)`` applies a chunk, whose s-th step touches the first ``active[s]``
     rows of ``order`` (rows by descending count): edges (x[s], y[s]) with
     x-shares px[s], uniforms ``draws[row, s]``.  The step may overwrite x and
@@ -150,37 +218,47 @@ def _lockstep(tab: _Tables, opts: SimOptions, start: np.ndarray, width: int,
     replicas, cols = start.shape
     rec = opts.record_times
     lams = [tab.total * (t - s) for s, t in zip((0.0,) + rec, rec)]
-    group, held = _group_shape(cols, max(lams, default=0.0), width)
+    chunks = [_chunk_events(lam, width) for lam in lams]
+    cdfs = [_poisson_cdf(lam) for lam in lams]
+    span = _slice_len(max(chunks, default=1), width)
+    events = _Slices(opts.seed, 0, opts.replica_id + replicas, span)
+    counts = _Slices(opts.seed, 1, opts.replica_id + replicas, 4)
+    group, block = _group_shape(replicas, cols, max(chunks, default=1), width)
     probe = np.asarray(observe(start[:1].copy()))
     values = np.empty((replicas, len(rec)) + probe.shape[1:], probe.dtype)
+    # every group reuses one state array and one buffer for each stream
+    whole, buf = np.empty((group, cols), start.dtype), np.empty(group * span)
+    u = np.empty((group, 4))
     for g0 in range(0, replicas, group):
         rows = min(group, replicas - g0)
-        rngs = [make_rng(opts.seed, opts.replica_id + g0 + r) for r in range(rows)]
-        state = start[g0:g0 + rows].copy()
-        draws = np.zeros((rows, held, width))
-        for i, lam in enumerate(lams):
-            left = np.array([rng.poisson(lam) for rng in rngs], dtype=np.int64)
-            while left.any():
-                take = np.minimum(left, held)
-                for r in np.flatnonzero(take).tolist():
-                    rngs[r].random(out=draws[r, :take[r]])
+        first = opts.replica_id + g0
+        state = whole[:rows]
+        state[...] = start[g0:g0 + rows]
+        for i, (cdf, held) in enumerate(zip(cdfs, chunks)):
+            n = np.searchsorted(cdf, counts.read(u[:rows], first, i)[:, 0], side="right")
+            draws = buf[:rows * _slice_len(held, width)].reshape(rows, -1)
+            chunk = draws[:, :held * width].reshape(rows, held, width)
+            for c in range(-(-int(n.max()) // held)):
+                take = np.clip(n - c * held, 0, held)
+                live = np.flatnonzero(take)
+                events.read(draws[live[0]:live[-1] + 1], first + int(live[0]), i, c)
                 order = np.argsort(-take, kind="stable")
                 ranked = take[order]
-                steps = int(ranked[0])
-                active = np.searchsorted(-ranked, -np.arange(steps), side="left").tolist()
-                e = tab.edges_of(draws[order, :steps, 0]).T
-                step(state, order, active, tab.x[e], tab.y[e], tab.px[e], draws)
-                left -= take
+                active = np.searchsorted(-ranked, -np.arange(ranked[0]), side="left").tolist()
+                marks = chunk[order[:live.size], :len(active), 0]
+                step(state, order, active, *tab.endpoints(marks), chunk)
             if guard is not None:
                 guard(state)
-            values[g0:g0 + rows, i] = observe(state)
+            out = values[g0:g0 + rows, i]
+            for b0 in range(0, rows, block):
+                out[b0:b0 + block] = observe(state[b0:b0 + block])
     return values
 
 
 def _apply_marks(eta: np.ndarray, order, active, x, y, px, draws) -> None:
     """Averaging step: pool and re-split the values on each event's edge."""
     flat = eta.reshape(-1)
-    row0 = order * eta.shape[1]
+    row0 = order[:x.shape[1]] * eta.shape[1]
     x += row0  # flat indices of the endpoints
     y += row0
     for s, k in enumerate(active):

@@ -22,7 +22,7 @@ __all__ = ["run_verify", "VERIFY_CHECKS"]
 def _check_intertwining():
     graph = build_graph("path", size=3)
     weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(7, 0, stream=4)
+    rng = simulate.make_rng(7, stream=4)
     worst = 0.0
     for k in (1, 2):
         space = spectral.enumerate_configs(3, k)
@@ -40,7 +40,7 @@ def _labeled_duality_residual(centered: bool) -> float:
     k = 2
     Q = spectral.generator_splitting_labeled(graph, weights, k).toarray()
     tuples = spectral.labeled_states(3, k)
-    rng = simulate.make_rng(11, 0, stream=4)
+    rng = simulate.make_rng(11, stream=4)
     dual = duality.orthogonal_duality if centered else duality.moment_duality
     worst = 0.0
     for _ in range(30):
@@ -90,7 +90,7 @@ def _check_jk_injective():
 
 def _check_adjointness():
     weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(13, 0, stream=4)
+    rng = simulate.make_rng(13, stream=4)
     worst = 0.0
     for k in (2, 3):
         for i in (1, k):
@@ -108,7 +108,7 @@ def _check_f_psi_eigen():
     Q = spectral.generator_splitting_labeled(graph, weights, 2)
     mu2 = spectral.product_weights(weights, 2)
     lam = spectral.spectral_gap(Q, mu2).gap
-    rng = simulate.make_rng(17, 0, stream=4)
+    rng = simulate.make_rng(17, stream=4)
     # all eigenfunctions at the gap eigenvalue
     w, V = np.linalg.eigh(spectral._symmetrized(Q, mu2).toarray())
     worst = 0.0
@@ -129,7 +129,7 @@ def _check_dirichlet_ordering():
     weights = site_weights([0.1, 0.2, 0.3, 0.4])
     Q2 = spectral.generator_splitting_labeled(graph, weights, 2)
     mu2 = spectral.product_weights(weights, 2)
-    rng = simulate.make_rng(19, 0, stream=4)
+    rng = simulate.make_rng(19, stream=4)
     worst = 0.0
     for _ in range(200):
         psi2 = rng.standard_normal(16)
@@ -144,7 +144,7 @@ def _check_dirichlet_identity():
     weights = site_weights([0.1, 0.2, 0.3, 0.4])
     Q2 = spectral.generator_splitting_labeled(graph, weights, 2)
     mu2 = spectral.product_weights(weights, 2)
-    rng = simulate.make_rng(23, 0, stream=4)
+    rng = simulate.make_rng(23, stream=4)
     worst = 0.0
     for _ in range(100):
         psi2 = rng.standard_normal(16)
@@ -171,7 +171,7 @@ def _check_gap_identity():
 def _check_aldous_lanoue():
     graph = build_graph("cycle", size=4)
     weights = site_weights([0.1, 0.2, 0.3, 0.4])
-    rng = simulate.make_rng(29, 0, stream=4)
+    rng = simulate.make_rng(29, stream=4)
     worst = 0.0
     for _ in range(1000):
         eta = rng.dirichlet(np.ones(4))
@@ -186,7 +186,7 @@ def _check_aldous_lanoue():
 
 def _check_multinomial_tv_bound():
     weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(31, 0, stream=4)
+    rng = simulate.make_rng(31, stream=4)
     worst = -math.inf
     for k in (1, 2, 3, 4):
         space = spectral.enumerate_configs(3, k)
@@ -200,7 +200,7 @@ def _check_multinomial_tv_bound():
 
 def _check_chi2_formula():
     weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(37, 0, stream=4)
+    rng = simulate.make_rng(37, stream=4)
     worst = 0.0
     for k in (1, 2, 3, 4):
         space = spectral.enumerate_configs(3, k)
@@ -216,7 +216,7 @@ def _check_chi2_formula():
 def _check_nt_consistency():
     graph = build_graph("cycle", size=4)
     weights = site_weights([0.1, 0.2, 0.3, 0.4])
-    rng = simulate.make_rng(41, 0, stream=4)
+    rng = simulate.make_rng(41, stream=4)
     worst = 0.0
     for _ in range(5):
         eta = rng.dirichlet(np.ones(4))
@@ -230,7 +230,7 @@ def _check_nt_consistency():
 def _check_multicolored_intertwining():
     graph = build_graph("cycle", size=3)
     weights = site_weights([0.2, 0.3, 0.5])
-    rng = simulate.make_rng(47, 0, stream=4)
+    rng = simulate.make_rng(47, stream=4)
     worst = 0.0
     for xi in ((1, 1, 1), (2, 1, 0), (3, 0, 0)):
         spaces = {kz: spectral.enumerate_configs(3, kz) for kz in set(xi)}

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,30 @@ def test_cdsz_profile_shape_at_large_n():
     prof = {round(r.t_normalized, 3): r.value for r in records if r.kind == "wasserstein"}
     assert abs(prof[0.5] - 2.0) <= 0.2
     assert prof[1.5] <= 0.4
+
+
+def test_crossing_benchmark_config_memory_peak():
+    # the mc_crossing benchmark's config (n = 128, 1,500 replicas, 13 times):
+    # the lockstep groups, their chunks and the observe blocks, with the
+    # graph, its tables and the CSV rows, stay within 2.75 MiB of traced
+    # memory.  The second run is measured; the first in a process also pays
+    # one-time setup
+    cfg = ExperimentConfig(
+        graph={"kind": "complete", "size": 128},
+        weights={"kind": "uniform"},
+        times={"mode": "tstar", "multiples": [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
+                                              1.1, 1.2, 1.3, 1.4, 1.5, 1.6]},
+        replicas=1500,
+        seed=1,
+    )
+    run_complete_cdsz(cfg)
+    tracemalloc.start()
+    try:
+        run_complete_cdsz(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * 2 ** 20
 
 
 def test_nash_runner(tmp_path):

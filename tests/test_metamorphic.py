@@ -221,7 +221,7 @@ def test_more_than_16_starts_keep_the_sampling_rule(build, orbits):
     n, seed = graph.n, 11
 
     def draw(m):
-        rng = make_rng(seed, 0, stream=3)
+        rng = make_rng(seed, stream=3)
         return sorted(rng.choice(m, size=harness.WORST_START_ENUM_MAX_N, replace=False).tolist())
 
     starts = harness._worst_dirac_starts(graph, uniform_weights(n), seed)

@@ -1,8 +1,9 @@
+import math
 from bisect import bisect_right
 
 import numpy as np
 import pytest
-from scipy.stats import binom, chi2
+from scipy.stats import binom, chi2, poisson
 
 from binsplit.averaging import transport_norm
 from binsplit.distances import single_particle_spectrum
@@ -57,21 +58,50 @@ def test_splitting_edge_step_chi_square_gof():
     assert stat <= chi2.ppf(1 - 0.001, dof)
 
 
+def _slice(seed, stream, replica, i, c, length):
+    """Layout 4: slice (i, c) of ``length`` uniforms of one replica, from a
+    fresh numpy Philox keyed by (seed, stream 2^56) whose first block is at
+    counter words (replica length / 4, i, c); numpy steps the counter before
+    it computes a block."""
+    counter = ((c << 128 | i << 64 | replica * length // 4) - 1) % (1 << 256)
+    philox = np.random.Philox(key=seed | stream << 120, counter=counter)
+    return np.random.Generator(philox).random(length)
+
+
+def _poisson_count(lam, u):
+    """The first j whose Poisson(lam) CDF, summed in order from log-space
+    terms, exceeds u, stopping at lam + 12 sqrt(lam) + 39."""
+    top = int(lam + 12.0 * math.sqrt(lam) + 40.0)
+    log_lam = math.log(lam) if lam > 0.0 else -math.inf
+    j, cdf = 0, math.exp(-lam)
+    while cdf <= u and j < top - 1:
+        j += 1
+        cdf += math.exp(j * log_lam - lam - math.lgamma(j + 1))
+    return j
+
+
 def _events(graph, weights, times, seed, k, replica_id=0):
-    """Layout 3, one replica at a time with one Generator: per record
-    interval a Poisson(C dt) event count, then per event a block of 1 + k
-    uniforms whose first, the mark, picks the edge by conductance.  Yields
-    per interval the (x, y, p, u) of its events, p the x-side share and u
-    the k particle uniforms."""
-    rng = make_rng(seed, replica_id)
+    """Layout 4, one replica at a time, one Philox per slice: per record
+    interval i the count from the first uniform of its stream-1 slice (i, 0)
+    of 4, then chunks of S = max(1, min(ceil(C dt), 16 // (1 + k))) events,
+    chunk c the stream-0 slice (i, c) of 4 ceil(S (1 + k) / 4) uniforms, with
+    a block of 1 + k uniforms per event whose first, the mark, picks the edge
+    by conductance.  Yields per interval the (x, y, p, u) of its events, p
+    the x-side share and u the k particle uniforms."""
     cum = np.cumsum(graph.edge_c).tolist()
     total = cum[-1]
     pi = weights.pi
     prev = 0.0
-    for t in times:
+    for i, t in enumerate(times):
+        lam = total * (t - prev)
+        held = max(1, min(math.ceil(lam), 16 // (1 + k)))
+        length = -(-held * (1 + k) // 4) * 4
         events = []
-        for _ in range(rng.poisson(total * (t - prev))):
-            block = rng.random(1 + k)
+        for j in range(_poisson_count(lam, _slice(seed, 1, replica_id, i, 0, 4)[0])):
+            c, s = divmod(j, held)
+            if s == 0:
+                chunk = _slice(seed, 0, replica_id, i, c, length)
+            block = chunk[s * (1 + k):(s + 1) * (1 + k)]
             e = min(bisect_right(cum, block[0] * total), len(cum) - 1)
             x, y = int(graph.edge_x[e]), int(graph.edge_y[e])
             events.append((x, y, pi[x] / (pi[x] + pi[y]), block[1:]))
@@ -80,9 +110,9 @@ def _events(graph, weights, times, seed, k, replica_id=0):
 
 
 def _averaging_reference(graph, weights, eta0, times, seed, replica_id=0):
-    """Layout 2 of the averaging dynamics, which is layout 3 at k = 0: pool
-    and re-split the values on each event's edge; rescale a record whose mass
-    is off 1 by more than 1e-12."""
+    """The averaging dynamics, layout 4 at k = 0: pool and re-split the
+    values on each event's edge; rescale a record whose mass is off 1 by more
+    than 1e-12."""
     eta = np.array(eta0, dtype=float)
     out = []
     for events in _events(graph, weights, times, seed, 0, replica_id):
@@ -147,20 +177,38 @@ def _row_counts(pos, n):
     return (np.asarray(pos)[..., None] == np.arange(n)).sum(axis=-2)
 
 
+def _group_settings(monkeypatch):
+    """Run the loop body under each group budget and observe block that a
+    batch must not depend on: the default, one-row groups, and groups of a
+    few rows observed one row or three rows at a time."""
+    shape = simulate._group_shape
+    for group_bytes, block in ((simulate.GROUP_BYTES, None), (1, None), (1 << 13, 1), (1 << 13, 3)):
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "GROUP_BYTES", group_bytes)
+            if block:
+                m.setattr(simulate, "_group_shape", lambda *a, block=block: (shape(*a)[0], block))
+            yield group_bytes, block
+
+
 def test_event_schedule_statistics():
-    # per record interval: a Poisson(C dt) count, then marks that pick edges
-    # in proportion to conductance
-    assert STREAM_LAYOUT == 3
-    intervals = 10 ** 5
-    n1 = np.array([len(e) for e in _events(path_graph(2), uniform_weights(2),
-                                           np.arange(1.0, intervals + 1), 3, 0)])
+    # per record interval: a Poisson(C dt) count from one stream-1 uniform,
+    # then marks from stream 0 that pick edges in proportion to conductance;
+    # here over 10^5 replicas of one interval
+    assert STREAM_LAYOUT == 4
+    reps = 10 ** 5
+
+    def counts(seed, lam):
+        u = simulate._Slices(seed, 1, reps, 4).read(np.empty((reps, 4)), 0)[:, 0]
+        return np.searchsorted(simulate._poisson_cdf(lam), u, side="right")
+
+    n1 = counts(3, 1.0)
     assert abs(n1.mean() - 1.0) <= 0.02
-    g2 = path_graph(3, conductance=[1.0, 3.0])
-    per_interval = list(_events(g2, uniform_weights(3), 0.5 * np.arange(1, intervals + 1), 4, 0))
-    n2 = np.array([len(e) for e in per_interval])
+    n2 = counts(4, 2.0)
     assert abs(n2.mean() - 2.0) <= 0.03 and abs(n2.var() - 2.0) <= 0.1
     # edge 1 = (1, 2) carries conductance 3 of 4
-    picks = np.array([x for events in per_interval for x, *_ in events])
+    g2 = path_graph(3, conductance=[1.0, 3.0])
+    marks = simulate._Slices(4, 0, reps, 4).read(np.empty((reps, 4)), 0)
+    picks = simulate._sim_tables(g2, uniform_weights(3)).edges_of(marks)
     assert abs((picks == 1).mean() - 0.75) <= 0.01
     # same seed, same stream
     a = list(_events(g2, uniform_weights(3), (0.5, 1.0), 9, 2, replica_id=1))
@@ -170,6 +218,69 @@ def test_event_schedule_statistics():
     with pytest.raises(ValueError):
         simulate_averaging(path_graph(1), uniform_weights(1), np.array([1.0]),
                            SimOptions(record_times=(1.0,)))
+
+
+def test_slice_reads_equal_rows_read_alone():
+    # one read of replicas r0..r1 equals each replica's slice read alone, by
+    # the engine and by a fresh Philox at its counter, at counter word 0 = 0
+    # (where the step before the first block borrows from the higher words),
+    # at nonzero interval and chunk words, and at the last replica the
+    # counter word holds
+    for seed, stream, first, rows, length, i, c in ((5, 0, 0, 7, 16, 0, 0), (5, 1, 3, 5, 4, 2, 0),
+                                                   (2 ** 64 - 1, 2, 11, 4, 12, 1, 3),
+                                                   (6, 0, 2 ** 62 - 3, 3, 16, 0, 1)):
+        slices = simulate._Slices(seed, stream, first + rows, length)
+        block = slices.read(np.empty((rows, length)), first, i, c)
+        for r in range(rows):
+            alone = slices.read(np.empty((1, length)), first + r, i, c)[0]
+            assert np.array_equal(block[r], alone)
+            assert np.array_equal(block[r], _slice(seed, stream, first + r, i, c, length))
+    # a known answer: replica 1's slice of 4 under key (1, 0) is the block at
+    # counter 1, the first one a Philox with key 1 and counter 0 computes
+    assert simulate._Slices(1, 0, 2, 4).read(np.empty((1, 4)), 1)[0].tolist() == \
+        np.random.Generator(np.random.Philox(key=1)).random(4).tolist()
+
+
+@pytest.mark.parametrize("lam", [0.3, 44.5, 178.0, 5000.0])
+def test_poisson_table_chi_square(lam):
+    # the inverse-CDF table against the exact law: its CDF to 1e-14 (C dt +
+    # 10), as the rounding of j log(C dt) grows with j (3.9e-12 at 5000), and
+    # the counts of 10^5 uniforms (seed 23) by a chi-square test at level
+    # 1e-3, bins with expected count below 5 merged into their neighbours
+    cdf = simulate._poisson_cdf(lam)
+    assert np.isinf(cdf[-1]) and not cdf.flags.writeable
+    exact = poisson.cdf(np.arange(cdf.size - 1), lam)
+    assert np.max(np.abs(cdf[:-1] - exact)) <= 1e-14 * (lam + 10)
+    draws = 10 ** 5
+    u = np.random.default_rng(23).random(draws)
+    counts = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=cdf.size)
+    expected = poisson.pmf(np.arange(cdf.size), lam) * draws
+    edges = [0]
+    for j in range(cdf.size):
+        if expected[edges[-1]:j + 1].sum() >= 5 and expected[j + 1:].sum() >= 5:
+            edges.append(j + 1)
+    obs = np.add.reduceat(counts, edges)
+    exp = np.add.reduceat(expected, edges)
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    assert stat <= chi2.ppf(1 - 1e-3, len(edges) - 1)
+
+
+def test_replica_past_the_counter_word_names_its_key():
+    # replica r's slice of L uniforms starts at counter word r L / 4, so
+    # replica_id + replicas may reach 2^64 / (L / 4) and no further.  Path2 at
+    # C dt = 20 has 16-event chunks, L = 16.  The batch here would need 2^61
+    # bytes, so the check runs before any allocation
+    g, w = path_graph(2), uniform_weights(2)
+    eta0 = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"replica_id \+ replicas"):
+        simulate_averaging_batch(g, w, eta0, SimOptions(record_times=(20.0,), seed=1,
+                                                         replica_id=2 ** 62 - 2 ** 57), 2 ** 58)
+    with pytest.raises(ValueError, match="replica_id"):
+        SimOptions(record_times=(1.0,), replica_id=-1)
+    # the last replica that fits runs, and matches its reference
+    last = SimOptions(record_times=(20.0,), seed=1, replica_id=2 ** 62 - 1)
+    states, _ = simulate_averaging_batch(g, w, eta0, last, 1)
+    assert np.array_equal(states[0], _averaging_reference(g, w, eta0, (20.0,), 1, 2 ** 62 - 1))
 
 
 def test_simulate_averaging_basics():
@@ -225,22 +336,31 @@ def test_averaging_batch_rows_are_replicas():
 
 
 def test_averaging_batch_grouping_invariant(monkeypatch):
-    # results do not depend on the group size or on how an interval's marks
-    # are split into held chunks
+    # results depend neither on the group budget nor on the observe block;
+    # the chunk width is part of the layout
+    assert STREAM_LAYOUT == 4
     g = cycle_graph(5)
     w = uniform_weights(5)
     eta0 = np.array([1.0, 0, 0, 0, 0])
     opts = SimOptions(record_times=(0.5, 30.0), seed=17)
     ref, _ = simulate_averaging_batch(g, w, eta0, opts, 30)
+    observe = lambda b: transport_norm(b, w, 1.0)
+    ref_norms, _ = simulate_averaging_batch(g, w, eta0, opts, 30, observe=observe)
+    for _ in _group_settings(monkeypatch):
+        assert np.array_equal(simulate_averaging_batch(g, w, eta0, opts, 30)[0], ref)
+        assert np.array_equal(simulate_averaging_batch(g, w, eta0, opts, 30, observe=observe)[0],
+                              ref_norms)
+    # chunks: up to 16 uniforms per replica, at least one event, and no more
+    # events than C dt rounded up; a slice is whole Philox blocks of 4
+    assert [simulate._chunk_events(lam, width) for lam, width in
+            ((44.5, 1), (0.3, 1), (5.0, 3), (100.0, 11), (100.0, 40))] == [16, 1, 5, 1, 1]
+    assert [simulate._slice_len(events, width) for events, width in
+            ((16, 1), (1, 1), (5, 3), (1, 41))] == [16, 4, 16, 44]
+    # the crossing benchmark's shape: 1,500 rows of 128 states in two even
+    # groups, observed 93 rows at a time; a budget of 1 byte runs one row
+    assert simulate._group_shape(1500, 128, 16, 1) == (750, 93)
     monkeypatch.setattr(simulate, "GROUP_BYTES", 1)
-    monkeypatch.setattr(simulate, "MAX_HELD_MARKS", 7)
-    assert simulate._group_shape(5, 150.0, 1) == (1, 7)
-    # the held bound counts uniforms: 3 per event leaves 2 events, and one
-    # event wider than the bound is still held whole
-    assert simulate._group_shape(5, 150.0, 3) == (1, 2)
-    assert simulate._group_shape(5, 150.0, 9) == (1, 1)
-    small, _ = simulate_averaging_batch(g, w, eta0, opts, 30)
-    assert np.array_equal(ref, small)
+    assert simulate._group_shape(1500, 128, 16, 1) == (1, 1)
 
 
 def test_drift_guard_rescales_off_mass_once():
@@ -260,9 +380,9 @@ def test_drift_guard_rescales_off_mass_once():
         assert np.all(np.abs(batch.sum(axis=2) - 1.0) <= 1e-12)
 
 
-def test_averaging_batch_rows_equal_layout2_reference(monkeypatch):
-    # every row equals the per-event reference of its replica bit for bit, in
-    # any group size and chunking, the drift guard included
+def test_averaging_batch_rows_equal_reference(monkeypatch):
+    # every row equals the per-event reference of its replica bit for bit,
+    # for any group budget and observe block, the drift guard included
     rng = np.random.default_rng(20)
     times = (0.0, 0.3, 1.0, 2.5, 6.0)
     for graph in (path_graph(3), cycle_graph(5), complete_graph(6),
@@ -271,12 +391,9 @@ def test_averaging_batch_rows_equal_layout2_reference(monkeypatch):
         for eta0 in (rng.dirichlet(np.ones(graph.n)), np.eye(graph.n)[0] * (1.0 + 1e-11)):
             opts = SimOptions(record_times=times, seed=20, replica_id=3)
             ref = [_averaging_reference(graph, w, eta0, times, 20, 3 + r) for r in range(9)]
-            with monkeypatch.context() as m:
-                for group_bytes, held in ((simulate.GROUP_BYTES, simulate.MAX_HELD_MARKS), (1, 3)):
-                    m.setattr(simulate, "GROUP_BYTES", group_bytes)
-                    m.setattr(simulate, "MAX_HELD_MARKS", held)
-                    batch, _ = simulate_averaging_batch(graph, w, eta0, opts, 9)
-                    assert np.array_equal(batch, np.array(ref))
+            for _ in _group_settings(monkeypatch):
+                batch, _ = simulate_averaging_batch(graph, w, eta0, opts, 9)
+                assert np.array_equal(batch, np.array(ref))
 
 
 @pytest.mark.parametrize("name", ["unit", "equal", "uniform", "lognormal", "mixed", "one-edge"])
@@ -370,7 +487,7 @@ def test_labeled_exchangeability_pathwise():
                          ids=["path2", "path3", "cycle4", "cycle5", "complete6"])
 def test_per_particle_views_equal_reference_updates(graph, monkeypatch):
     # the rows of a splitting batch equal the per-event reference of their
-    # replicas bit for bit, for any group size and chunking; the labeled,
+    # replicas bit for bit, for any group budget and observe block; the labeled,
     # unlabeled and multicolored runs of one replica equal their own updates
     rng = np.random.default_rng(19)
     times = (0.3, 1.0, 2.5, 10.0)
@@ -381,13 +498,10 @@ def test_per_particle_views_equal_reference_updates(graph, monkeypatch):
             opts = SimOptions(record_times=times, seed=19, replica_id=k)
             ref = [_labeled_reference(graph, weights, xs0[r], times, 19, k + r)
                    for r in range(rows)]
-            with monkeypatch.context() as m:
-                for group_bytes, held in ((simulate.GROUP_BYTES, simulate.MAX_HELD_MARKS), (1, 13)):
-                    m.setattr(simulate, "GROUP_BYTES", group_bytes)
-                    m.setattr(simulate, "MAX_HELD_MARKS", held)
-                    batch = simulate_splitting_batch(graph, weights, xs0, opts, rows)
-                    assert batch.shape == (rows, len(times), k)
-                    assert [list(map(tuple, b)) for b in batch.tolist()] == ref
+            for _ in _group_settings(monkeypatch):
+                batch = simulate_splitting_batch(graph, weights, xs0, opts, rows)
+                assert batch.shape == (rows, len(times), k)
+                assert [list(map(tuple, b)) for b in batch.tolist()] == ref
             assert list(map(tuple, simulate_splitting_batch(graph, weights, xs0[0], opts,
                                                             1)[0].tolist())) == ref[0]
             xi0 = np.bincount(xs0[0], minlength=graph.n)
