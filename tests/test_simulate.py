@@ -187,7 +187,7 @@ def _group_settings(monkeypatch):
             m.setattr(simulate, "GROUP_BYTES", group_bytes)
             if block:
                 m.setattr(simulate, "_group_shape", lambda *a, block=block: (shape(*a)[0], block))
-            yield group_bytes, block
+            yield
 
 
 def test_event_schedule_statistics():
