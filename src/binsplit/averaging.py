@@ -90,8 +90,7 @@ def transport_norm(eta: np.ndarray, weights: SiteWeights, p: float):
     if math.isinf(p):
         norm = dev.max(axis=-1)
     else:
-        if p != 1.0:
-            dev **= p
+        dev **= p
         dev *= weights.pi
         norm = np.sum(dev, axis=-1) ** (1.0 / p)
     return float(norm) if norm.ndim == 0 else norm

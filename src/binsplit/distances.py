@@ -14,7 +14,7 @@ from scipy.linalg import eigh
 
 from . import averaging, spectral
 from .graphs import SiteWeights, WeightedGraph
-from .simulate import (SimOptions, _Slices, _slice_len, simulate_splitting_batch,
+from .simulate import (SimOptions, _categorical_starts, simulate_splitting_batch,
                        wasserstein_estimate)
 from .spectral import (
     Spectrum,
@@ -233,13 +233,7 @@ def wilson_report(graph: WeightedGraph, weights: SiteWeights, k: int, eta,
     lower = max(0.0, 1.0 - 8.0 / a_t) if a_t > 0 else 0.0
     var_out = mc_mean = mc_stderr = None
     if mc_replicas > 0:
-        # replica r starts from k categorical draws, one uniform each from
-        # its slice of stream 2, particles sorted by site
-        span = _slice_len(k, 1)
-        u = _Slices(seed, 2, mc_replicas, span).read(np.empty((mc_replicas, span)), 0)[:, :k]
-        starts = np.searchsorted(np.cumsum(eta), u, side="right")
-        np.minimum(starts, np.flatnonzero(eta > 0)[-1], out=starts)
-        starts.sort(axis=1)
+        starts = _categorical_starts(seed, eta, k, mc_replicas)
         vals = simulate_splitting_batch(graph, weights, starts,
                                         SimOptions(record_times=(t,), seed=seed), mc_replicas,
                                         observe=lambda pos: psi[pos].sum(axis=1))[:, 0]

@@ -111,19 +111,36 @@ def _chunk_events(lam: float, width: int) -> int:
     return max(1, min(math.ceil(lam), CHUNK_UNIFORMS // width))
 
 
-@lru_cache(maxsize=64)
-def _poisson_cdf(lam: float) -> np.ndarray:
-    """P(N <= j) for N ~ Poisson(lam) and j up to lam + 12 sqrt(lam) + 40 (a
-    tail below 1e-30), summed in order from log-space terms, with the last
-    entry +inf: ``searchsorted(cdf, u, "right")`` is the count u draws."""
-    top = int(lam + 12.0 * math.sqrt(lam) + 40.0)
+def _poisson_cdf(lam: float):
+    """(lo, cdf): cdf[j] = P(lo <= N <= lo + j) for N ~ Poisson(lam), from
+    lo = max(0, floor(lam - 12 sqrt(lam) - 40)) up to lam + 12 sqrt(lam) + 40
+    (each tail below 1e-30), summed in order from log-space terms, with the
+    last entry +inf: ``lo + searchsorted(cdf, u, "right")`` is the count u
+    draws."""
+    spread = 12.0 * math.sqrt(lam) + 40.0
+    lo, top = max(0, math.floor(lam - spread)), int(lam + spread)
     log_lam = math.log(lam) if lam > 0.0 else -math.inf
     terms = (math.exp(j * log_lam - lam - math.lgamma(j + 1)) if j else math.exp(-lam)
-             for j in range(top))
-    cdf = np.fromiter(itertools.accumulate(terms), float, top)
+             for j in range(lo, top))
+    cdf = np.fromiter(itertools.accumulate(terms), float, top - lo)
     cdf[-1] = np.inf
-    cdf.flags.writeable = False
-    return cdf
+    return lo, cdf
+
+
+def _categorical_starts(seed: int, eta, k: int, replicas: int) -> np.ndarray:
+    """(replicas, k) sorted start sites, each of a replica's k particles at
+    vertex v with probability eta[v]: one uniform per particle from replica
+    r's slice (0, 0) of stream 2."""
+    eta = np.asarray(eta, float)
+    if not (np.all(np.isfinite(eta)) and np.all(eta >= 0.0)
+            and abs(float(eta.sum()) - 1.0) <= 1e-9):
+        raise ValueError("eta must be a finite, nonnegative probability vector summing to 1")
+    span = _slice_len(k, 1)
+    u = _Slices(seed, 2, replicas, span).read(np.empty((replicas, span)), 0)[:, :k]
+    starts = np.searchsorted(np.cumsum(eta), u, side="right")
+    np.minimum(starts, np.flatnonzero(eta)[-1], out=starts)
+    starts.sort(axis=1)
+    return starts
 
 
 @dataclass(frozen=True)
@@ -219,7 +236,7 @@ def _lockstep(tab: _Tables, opts: SimOptions, start: np.ndarray, width: int,
     rec = opts.record_times
     lams = [tab.total * (t - s) for s, t in zip((0.0,) + rec, rec)]
     chunks = [_chunk_events(lam, width) for lam in lams]
-    cdfs = [_poisson_cdf(lam) for lam in lams]
+    tables = [_poisson_cdf(lam) for lam in lams]
     span = _slice_len(max(chunks, default=1), width)
     events = _Slices(opts.seed, 0, opts.replica_id + replicas, span)
     counts = _Slices(opts.seed, 1, opts.replica_id + replicas, 4)
@@ -234,8 +251,8 @@ def _lockstep(tab: _Tables, opts: SimOptions, start: np.ndarray, width: int,
         first = opts.replica_id + g0
         state = whole[:rows]
         state[...] = start[g0:g0 + rows]
-        for i, (cdf, held) in enumerate(zip(cdfs, chunks)):
-            n = np.searchsorted(cdf, counts.read(u[:rows], first, i)[:, 0], side="right")
+        for i, ((lo, cdf), held) in enumerate(zip(tables, chunks)):
+            n = lo + np.searchsorted(cdf, counts.read(u[:rows], first, i)[:, 0], side="right")
             draws = buf[:rows * _slice_len(held, width)].reshape(rows, -1)
             chunk = draws[:, :held * width].reshape(rows, held, width)
             for c in range(-(-int(n.max()) // held)):

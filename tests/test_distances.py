@@ -166,6 +166,20 @@ def test_wilson_report_examples():
     assert rep.lower_bound >= 0.0
 
 
+@pytest.mark.parametrize("eta", [
+    [0.5, -0.1, 0.3, 0.2, 0.1],        # negative
+    [0.5, np.nan, 0.3, 0.1, 0.1],      # not finite
+    [0.5, 0.5, 0.3, 0.0, 0.0],         # sums past 1
+    [0.2, 0.2, 0.2, 0.2, 0.1],         # sums short of 1
+    [0.0, 0.0, 0.0, 0.0, 0.0],         # no mass
+])
+def test_wilson_report_rejects_a_start_law_that_is_not_a_distribution(eta):
+    # the Monte Carlo starts are categorical draws from eta
+    g = cycle_graph(5)
+    with pytest.raises(ValueError, match="eta"):
+        wilson_report(g, uniform_weights(5), 3, np.array(eta), 1.0, mc_replicas=4, seed=1)
+
+
 @pytest.mark.parametrize("graph, raw", [
     (torus_graph((6, 6)), np.ones(36)),
     # a heavy endpoint: the bound is positive at small times

@@ -69,11 +69,14 @@ def _slice(seed, stream, replica, i, c, length):
 
 
 def _poisson_count(lam, u):
-    """The first j whose Poisson(lam) CDF, summed in order from log-space
-    terms, exceeds u, stopping at lam + 12 sqrt(lam) + 39."""
-    top = int(lam + 12.0 * math.sqrt(lam) + 40.0)
+    """The first j from lo = max(0, floor(lam - 12 sqrt(lam) - 40)) whose
+    Poisson(lam) probability mass from lo to j, summed in order from
+    log-space terms, exceeds u, stopping at lam + 12 sqrt(lam) + 39."""
+    spread = 12.0 * math.sqrt(lam) + 40.0
+    lo, top = max(0, math.floor(lam - spread)), int(lam + spread)
     log_lam = math.log(lam) if lam > 0.0 else -math.inf
-    j, cdf = 0, math.exp(-lam)
+    j = lo
+    cdf = math.exp(j * log_lam - lam - math.lgamma(j + 1)) if j else math.exp(-lam)
     while cdf <= u and j < top - 1:
         j += 1
         cdf += math.exp(j * log_lam - lam - math.lgamma(j + 1))
@@ -199,7 +202,8 @@ def test_event_schedule_statistics():
 
     def counts(seed, lam):
         u = simulate._Slices(seed, 1, reps, 4).read(np.empty((reps, 4)), 0)[:, 0]
-        return np.searchsorted(simulate._poisson_cdf(lam), u, side="right")
+        lo, cdf = simulate._poisson_cdf(lam)
+        return lo + np.searchsorted(cdf, u, side="right")
 
     n1 = counts(3, 1.0)
     assert abs(n1.mean() - 1.0) <= 0.02
@@ -241,20 +245,23 @@ def test_slice_reads_equal_rows_read_alone():
         np.random.Generator(np.random.Philox(key=1)).random(4).tolist()
 
 
-@pytest.mark.parametrize("lam", [0.3, 44.5, 178.0, 5000.0])
-def test_poisson_table_chi_square(lam):
-    # the inverse-CDF table against the exact law: its CDF to 1e-14 (C dt +
-    # 10), as the rounding of j log(C dt) grows with j (3.9e-12 at 5000), and
-    # the counts of 10^5 uniforms (seed 23) by a chi-square test at level
-    # 1e-3, bins with expected count below 5 merged into their neighbours
-    cdf = simulate._poisson_cdf(lam)
-    assert np.isinf(cdf[-1]) and not cdf.flags.writeable
-    exact = poisson.cdf(np.arange(cdf.size - 1), lam)
+@pytest.mark.parametrize("lam, lo", [(0.3, 0), (44.5, 0), (178.0, 0), (5000.0, 4111)])
+def test_poisson_table_chi_square(lam, lo):
+    # the inverse-CDF table against the exact law: it starts at
+    # max(0, floor(C dt - 12 sqrt(C dt) - 40)), its CDF is exact to 1e-14
+    # (C dt + 10), as the rounding of j log(C dt) grows with j (3.9e-12 at
+    # 5000), and the counts of 10^5 uniforms (seed 23) pass a chi-square test
+    # at level 1e-3, bins with expected count below 5 merged into their
+    # neighbours
+    start, cdf = simulate._poisson_cdf(lam)
+    assert start == lo and np.isinf(cdf[-1])
+    support = np.arange(lo, lo + cdf.size)
+    exact = poisson.cdf(support[:-1], lam)
     assert np.max(np.abs(cdf[:-1] - exact)) <= 1e-14 * (lam + 10)
     draws = 10 ** 5
     u = np.random.default_rng(23).random(draws)
     counts = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=cdf.size)
-    expected = poisson.pmf(np.arange(cdf.size), lam) * draws
+    expected = poisson.pmf(support, lam) * draws
     edges = [0]
     for j in range(cdf.size):
         if expected[edges[-1]:j + 1].sum() >= 5 and expected[j + 1:].sum() >= 5:
@@ -263,6 +270,17 @@ def test_poisson_table_chi_square(lam):
     exp = np.add.reduceat(expected, edges)
     stat = float(np.sum((obs - exp) ** 2 / exp))
     assert stat <= chi2.ppf(1 - 1e-3, len(edges) - 1)
+
+
+def test_poisson_table_spans_only_the_bulk():
+    # at C dt = 10^6 the table runs from 10^6 - 12,040 to 10^6 + 12,040, so
+    # its size grows as sqrt(C dt); a uniform of 0 draws its first entry and
+    # 1/2 the median
+    lo, cdf = simulate._poisson_cdf(1e6)
+    assert lo == 987_960 and cdf.size == 24_080
+    assert 0.0 < cdf[0] < 1e-30 and abs(cdf[-2] - 1.0) <= 1e-9
+    assert lo + np.searchsorted(cdf, 0.0, side="right") == lo
+    assert abs(lo + np.searchsorted(cdf, 0.5, side="right") - 1e6) <= 1
 
 
 def test_replica_past_the_counter_word_names_its_key():
