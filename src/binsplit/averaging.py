@@ -59,7 +59,7 @@ def avg_generator_apply(f, eta: np.ndarray, graph: WeightedGraph,
     """Generator action sum_xy c_xy (f(eta^xy) - f(eta)) for a pointwise f."""
     base = f(eta)
     total = 0.0
-    for (x, y, c) in graph.edges:
+    for x, y, c in zip(graph.edge_x.tolist(), graph.edge_y.tolist(), graph.edge_c.tolist()):
         total += c * (f(edge_update(eta, (x, y), weights)) - base)
     return total
 

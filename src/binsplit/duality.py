@@ -136,7 +136,7 @@ def intertwining_residual(graph: WeightedGraph, weights: SiteWeights, k: int,
         space = enumerate_configs(graph.n, k)
     f = np.asarray(f, float)
     worst = 0.0
-    for (x, y, _) in graph.edges:
+    for x, y in zip(graph.edge_x.tolist(), graph.edge_y.tolist()):
         eta_up = averaging.edge_update(eta, (x, y), weights)
         lhs = multinomial_average(f, eta_up, k, space)
         rhs = multinomial_average(_edge_kernel_apply(f, (x, y), weights, space), eta, k, space)
@@ -234,7 +234,7 @@ def multicolored_intertwining_residual(graph: WeightedGraph, weights: SiteWeight
     n = graph.n
     spaces = {int(k_z): enumerate_configs(n, int(k_z)) for k_z in set(xi.tolist())}
     worst = 0.0
-    for (x, y, _) in graph.edges:
+    for x, y in zip(graph.edge_x.tolist(), graph.edge_y.tolist()):
         lhs = 1.0
         rhs = 1.0
         base = 1.0

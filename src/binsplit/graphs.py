@@ -19,6 +19,11 @@ Vertex indexing conventions of the builders:
 reflection, the cycle's rotation and reflection, a unit shift and a reflection
 per torus axis, and the transposition (0 1) and n-cycle of the complete graph.
 
+Every builder emits its edges as integer arrays, and a graph keeps them once,
+as the arrays ``edge_x`` < ``edge_y`` and ``edge_c``.  Their order is part of
+the Monte Carlo layout (the cumulative conductances pick each mark's edge)
+and fixes the order in which the generators sum their diagonals.
+
 Both lattices take their bonds from one enumerator of "+1 neighbour along
 each axis" pairs, and connectivity (of any graph, and of the percolation
 clusters) comes from one component labeling, by lowest vertex.
@@ -86,59 +91,65 @@ def _lattice_bonds(dims, wrap: bool) -> np.ndarray:
     return np.stack([x[keep], nb[keep]], axis=1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WeightedGraph:
     """Undirected connected graph with positive edge conductances.
 
-    ``edges`` takes (x, y, c_xy) triples, (m, 3) array-like; a tuple with x < y once normalized.
-    Derived arrays (``edge_x``, ``edge_y``, ``edge_c``) are built once;
-    instances are immutable (identity-hashed, so they can key per-graph
-    caches).  ``symmetries`` holds vertex
-    permutations, unverified until :func:`vertex_orbits` checks them.
+    Takes (x, y, c_xy) triples, (m, 3) array-like, with integer endpoints.
+    Keeps them once, as arrays in input order: ``edge_x`` < ``edge_y``
+    (int64) and ``edge_c``; ``edges`` is a tuple view built on each access.
+    Instances are immutable (identity-hashed, so they can key per-graph
+    caches).  ``symmetries`` holds vertex permutations, unverified until
+    :func:`vertex_orbits` checks them.
     """
 
     n: int
-    edges: tuple
-    symmetries: tuple = field(default=(), repr=False)
-    edge_x: np.ndarray = field(init=False, repr=False, compare=False)
-    edge_y: np.ndarray = field(init=False, repr=False, compare=False)
-    edge_c: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_x: np.ndarray = field(repr=False)
+    edge_y: np.ndarray = field(repr=False)
+    edge_c: np.ndarray = field(repr=False)
+    symmetries: tuple = field(repr=False)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges, symmetries: tuple = ()):
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        e = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
-        x, y, c = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2].copy()
+        e = np.array(edges, dtype=float).reshape(len(edges), 3)
+        ends, c = e[:, :2], e[:, 2].copy()
+        whole = np.all(np.isfinite(ends) & (ends == np.round(ends)), axis=1)
+        out = whole & np.any((ends < 0) | (ends >= n), axis=1)
+        x, y = np.where((whole & ~out)[:, None], ends, 0).astype(np.int64).T
         lo, hi = np.minimum(x, y), np.maximum(x, y)
-        keys = lo * self.n + hi
+        keys = lo * n + hi
         order = np.argsort(keys, kind="stable")
         dup = np.zeros(len(e), dtype=bool)  # True after a key's first occurrence
         dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        out = (x < 0) | (x >= self.n) | (y < 0) | (y >= self.n)
         bad_c = ~((c > 0.0) & np.isfinite(c))
-        bad = np.flatnonzero(out | (x == y) | bad_c | dup)
+        bad = np.flatnonzero(~whole | out | (x == y) | bad_c | dup)
         if bad.size:
             # the first offending edge in input order, its checks in this order
             i = bad[0]
-            xi, yi = int(x[i]), int(y[i])
+            if not whole[i]:
+                raise ValueError(f"edge ({ends[i, 0]:g},{ends[i, 1]:g}) needs integer endpoints")
+            xi, yi = int(ends[i, 0]), int(ends[i, 1])
             if out[i]:
-                raise ValueError(f"edge ({xi},{yi}) out of range for n={self.n}")
+                raise ValueError(f"edge ({xi},{yi}) out of range for n={n}")
             if xi == yi:
                 raise ValueError(f"self-loop at vertex {xi}")
             if bad_c[i]:
                 raise ValueError(f"conductance on edge ({xi},{yi}) must be positive, got {float(c[i])}")
             raise ValueError(f"duplicate undirected edge {(int(lo[i]), int(hi[i]))}")
-        roots = _cluster_roots(self.n, np.stack([lo, hi], axis=1))
+        roots = _cluster_roots(n, np.stack([lo, hi], axis=1))
         if np.any(roots != roots[0]):
             raise ValueError("graph is not connected")
-        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist(), c.tolist())))
-        object.__setattr__(self, "edge_x", lo)
-        object.__setattr__(self, "edge_y", hi)
-        object.__setattr__(self, "edge_c", c)
+        self.__dict__.update(n=n, edge_x=lo, edge_y=hi, edge_c=c, symmetries=symmetries)
+
+    @property
+    def edges(self) -> tuple:
+        """The (x, y, c_xy) triples as a tuple of Python tuples, in edge order."""
+        return tuple(zip(self.edge_x.tolist(), self.edge_y.tolist(), self.edge_c.tolist()))
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.edge_x.size
 
     @property
     def total_conductance(self) -> float:
@@ -198,20 +209,17 @@ def _apply_conductance(pairs, conductance) -> np.ndarray:
 def path_graph(size: int, conductance=1.0) -> WeightedGraph:
     if size < 1:
         raise ValueError("path size must be >= 1")
-    pairs = [(i, i + 1) for i in range(size - 1)]
-    return WeightedGraph(size, _apply_conductance(pairs, conductance),
-                         (np.arange(size)[::-1],))
+    v = np.arange(size)
+    return WeightedGraph(size, _apply_conductance(np.stack([v[:-1], v[1:]], axis=1), conductance),
+                         (v[::-1],))
 
 
 def cycle_graph(size: int, conductance=1.0) -> WeightedGraph:
     if size < 2:
         raise ValueError("cycle size must be >= 2")
-    if size == 2:
-        # wrap-around duplicates the single edge; keep one
-        pairs = [(0, 1)]
-    else:
-        pairs = [(i, (i + 1) % size) for i in range(size)]
     v = np.arange(size)
+    # (i, i+1 mod size); at size 2 the wrap-around duplicates the single edge
+    pairs = np.stack([v, (v + 1) % size], axis=1)[:size if size > 2 else 1]
     return WeightedGraph(size, _apply_conductance(pairs, conductance),
                          ((v + 1) % size, -v % size))
 
@@ -225,8 +233,7 @@ def torus_graph(dims, conductance=1.0) -> WeightedGraph:
     dims = [int(d) for d in dims]
     if len(dims) < 1 or any(d < 1 for d in dims):
         raise ValueError("torus dims must be >= 1")
-    bonds = _lattice_bonds(dims, wrap=True).tolist()
-    pairs = sorted({(min(x, y), max(x, y)) for x, y in bonds})
+    pairs = np.unique(np.sort(_lattice_bonds(dims, wrap=True), axis=1), axis=0)
     idx = np.arange(int(np.prod(dims))).reshape(dims)
     moves = tuple(m.ravel() for ax in range(len(dims))
                   for m in (np.roll(idx, -1, axis=ax), np.flip(idx, axis=ax)))
@@ -247,33 +254,24 @@ def sierpinski_graph(level: int, conductance=1.0) -> WeightedGraph:
 
     Vertices are integer points (row, col) with 0 <= col <= row <= 2**L that
     survive the recursive corner subdivision; the index map sorts them
-    lexicographically.
+    lexicographically.  The leaf triangles are those with apex (r, c),
+    r < 2**L, where the bits of c are a subset of those of r (Pascal's
+    triangle mod 2); each has edges (r,c)-(r+1,c), (r,c)-(r+1,c+1) and
+    (r+1,c)-(r+1,c+1).
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     if level > MAX_SIERPINSKI_LEVEL:
         raise ValueError(f"level capped at {MAX_SIERPINSKI_LEVEL} to bound memory")
-    edges = set()
-
-    def recurse(r, c, size):
-        # triangle with apex (r, c), spanning `size` rows downward
-        if size == 1:
-            v0 = (r, c)
-            v1 = (r + 1, c)
-            v2 = (r + 1, c + 1)
-            for a, b in ((v0, v1), (v0, v2), (v1, v2)):
-                edges.add((min(a, b), max(a, b)))
-            return
-        half = size // 2
-        recurse(r, c, half)
-        recurse(r + half, c, half)
-        recurse(r + half, c + half, half)
-
-    recurse(0, 0, 2 ** level)
-    verts = sorted({v for e in edges for v in e})
-    index = {v: i for i, v in enumerate(verts)}
-    pairs = sorted((index[a], index[b]) for (a, b) in edges)
-    return WeightedGraph(len(verts), _apply_conductance(pairs, conductance))
+    side = 2 ** level
+    a = np.arange(side)
+    r, c = np.nonzero((a[:, None] & a) == a)  # the leaf apexes, row by row
+    top = r * (side + 1) + c  # a point's code: row * (2**L + 1) + col
+    left, right = top + side + 1, top + side + 2
+    points, index = np.unique(np.stack([top, left, top, right, left, right], axis=1),
+                              return_inverse=True)
+    pairs = np.unique(index.reshape(-1, 2), axis=0)
+    return WeightedGraph(points.size, _apply_conductance(pairs, conductance))
 
 
 def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> WeightedGraph:
@@ -308,27 +306,23 @@ def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> We
             f"largest open cluster covers {len(cluster)}/{n} vertices (< half the box); "
             "increase p_open or retry with another seed"
         )
-    remap = np.full(n, -1)
-    remap[cluster] = np.arange(len(cluster))
-    inner = remap[open_bonds[roots[open_bonds[:, 0]] == root]]
-    pairs = sorted(map(tuple, inner.tolist()))
-    return WeightedGraph(len(cluster), _apply_conductance(pairs, conductance))
+    inner = np.searchsorted(cluster, open_bonds[roots[open_bonds[:, 0]] == root])
+    return WeightedGraph(len(cluster), _apply_conductance(np.unique(inner, axis=0), conductance))
 
 
 def custom_graph(edge_list, n: int | None = None, conductance=None) -> WeightedGraph:
     """Graph from explicit (x, y[, c]) triples; rejected if disconnected."""
     triples = []
     for e in edge_list:
-        if len(e) == 3:
-            triples.append((int(e[0]), int(e[1]), float(e[2])))
-        elif len(e) == 2:
-            triples.append((int(e[0]), int(e[1]), 1.0))
-        else:
+        if len(e) not in (2, 3):
             raise ValueError(f"edge entries must be (x, y) or (x, y, c), got {e!r}")
-    if n is None:
-        n = 1 + max(max(x, y) for (x, y, _) in triples) if triples else 1
+        triples.append((e[0], e[1], e[2] if len(e) == 3 else 1.0))
+    triples = np.array(triples, dtype=float).reshape(-1, 3)
+    ends = triples[:, :2]
+    if n is None:  # WeightedGraph rejects a non-integer or NaN endpoint
+        n = 1 + int(ends[np.isfinite(ends)].max(initial=0))
     if conductance is not None:
-        triples = _apply_conductance([(x, y) for (x, y, _) in triples], conductance)
+        triples = _apply_conductance(ends, conductance)
     return WeightedGraph(n, triples)
 
 

@@ -35,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.linalg.blas import dgemm
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
@@ -226,7 +227,7 @@ def generator_splitting(graph: WeightedGraph, weights: SiteWeights, k: int,
     size = space.size
     rows, cols, vals = [], [], []
     diag = np.zeros(size)
-    for (x, y, c) in graph.edges:
+    for x, y, c in zip(graph.edge_x.tolist(), graph.edge_y.tolist(), graph.edge_c.tolist()):
         src, dst, prob, stay = split_moves(space, x, y, pi[x] / (pi[x] + pi[y]))
         diag -= c * (1.0 - stay)
         rows.append(src)
@@ -403,8 +404,10 @@ def spectral_gap(Q, mu: np.ndarray, *, eigenfunction: bool = True) -> Spectrum:
     absolute convergence floor (eps^(2/3)) sits at unit scale whatever the
     time unit, and multiply the eigenvalues back.  Rejects input whose
     detailed-balance residual exceeds ``REVERSIBILITY_TOL`` max|Q|, reporting
-    the residual.  Every tolerance is relative to max|Q| or to the largest
-    computed eigenvalue, so rescaling all rates rescales the result.
+    the residual, and a reducible chain, reporting its number of strongly
+    connected components (alone, every route returns one component's gap).
+    Every tolerance is relative to max|Q| or to the largest computed
+    eigenvalue, so rescaling all rates rescales the result.
 
     ``eigenfunction=False`` skips every eigenvector (``eigvals_only`` in
     ``eigh``, ``return_eigenvectors=False`` in ``eigsh``) and the tie-break;
@@ -425,6 +428,9 @@ def spectral_gap(Q, mu: np.ndarray, *, eigenfunction: bool = True) -> Spectrum:
     if res > REVERSIBILITY_TOL * scale:
         raise ValueError(f"rate matrix is not reversible w.r.t. mu: "
                          f"max detailed-balance residual {res:.3e}")
+    parts = connected_components(sp.csr_matrix(Q), directed=True, connection="strong")[0]
+    if parts > 1:
+        raise ValueError(f"rate matrix is reducible: {parts} strongly connected components")
     sqrt_mu = np.sqrt(mu)
     A = _symmetrized(Q, mu)
     if dim <= DENSE_EIG_CUTOFF:
@@ -640,14 +646,12 @@ def dirichlet_independent_pair(graph: WeightedGraph, weights: SiteWeights,
 
     psi2 is flat over pairs (z, w), row-major.
     """
-    n = graph.n
     pi = weights.pi
-    T = np.asarray(psi2, dtype=float).reshape(n, n)
-    total = 0.0
-    for (x, y, c) in graph.edges:
-        w = pi[x] * pi[y] / (pi[x] + pi[y])
-        total += c * w * float(np.sum(pi * ((T[x, :] - T[y, :]) ** 2 + (T[:, x] - T[:, y]) ** 2)))
-    return total
+    T = np.asarray(psi2, dtype=float).reshape(graph.n, graph.n)
+    x, y, c = graph.edge_x, graph.edge_y, graph.edge_c
+    w = pi[x] * pi[y] / (pi[x] + pi[y])
+    gaps = (T[x] - T[y]) ** 2 + (T[:, x] - T[:, y]).T ** 2  # row e: both arguments moved along e
+    return float(np.sum(c * w * np.sum(pi * gaps, axis=1)))
 
 
 def dirichlet_defect_form(graph: WeightedGraph, weights: SiteWeights,
@@ -655,12 +659,9 @@ def dirichlet_defect_form(graph: WeightedGraph, weights: SiteWeights,
     """Nonnegative defect between the independent-pair and the joint two-particle
     energies: sum over edges of c (pi_x pi_y/(pi_x+pi_y))^2
     (psi(x,x)+psi(y,y)-psi(x,y)-psi(y,x))^2."""
-    n = graph.n
     pi = weights.pi
-    T = np.asarray(psi2, dtype=float).reshape(n, n)
-    total = 0.0
-    for (x, y, c) in graph.edges:
-        w = pi[x] * pi[y] / (pi[x] + pi[y])
-        total += c * (w ** 2) * (T[x, x] + T[y, y] - T[x, y] - T[y, x]) ** 2
-    return total
+    T = np.asarray(psi2, dtype=float).reshape(graph.n, graph.n)
+    x, y, c = graph.edge_x, graph.edge_y, graph.edge_c
+    w = pi[x] * pi[y] / (pi[x] + pi[y])
+    return float(np.sum(c * w ** 2 * (T[x, x] + T[y, y] - T[x, y] - T[y, x]) ** 2))
 

@@ -175,12 +175,13 @@ def _check_aldous_lanoue():
     worst = 0.0
     for _ in range(1000):
         eta = rng.dirichlet(np.ones(4))
-        e = graph.edges[int(rng.integers(graph.n_edges))]
+        i = int(rng.integers(graph.n_edges))
+        e = (graph.edge_x[i], graph.edge_y[i])
         before = averaging.transport_norm(eta, weights, 2.0) ** 2
         after = averaging.transport_norm(
-            averaging.edge_update(eta, (e[0], e[1]), weights), weights, 2.0) ** 2
+            averaging.edge_update(eta, e, weights), weights, 2.0) ** 2
         worst = max(worst, abs((after - before) -
-                               averaging.l2_drop(eta, (e[0], e[1]), weights)))
+                               averaging.l2_drop(eta, e, weights)))
     return worst, 1e-12
 
 

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from binsplit.graphs import (PercolationRetry, SiteWeights, WeightedGraph, _cluster_roots,
-                             build_graph, complete_graph, cycle_graph, load_edge_list,
-                             load_site_weights, path_graph,
+                             build_graph, complete_graph, custom_graph, cycle_graph,
+                             load_edge_list, load_site_weights, path_graph,
                              percolation_box_graph, sierpinski_graph,
                              site_weights, torus_graph, uniform_weights)
 
@@ -82,6 +84,20 @@ def test_invalid_graphs_rejected():
         with pytest.raises(ValueError) as err:
             WeightedGraph(n, edges)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WeightedGraph(3, [(0, 1.5, 1.0), (1, 2, 1.0)]), "edge (0,1.5)"),
+    (lambda: custom_graph([(0, 1.7), (1, 2)]), "edge (0,1.7)"),
+    (lambda: WeightedGraph(3, [(0, math.nan, 1.0), (1, 2, 1.0)]), "edge (0,nan)"),
+], ids=["fraction", "custom-fraction", "nan"])
+def test_non_integer_endpoint_rejected(build, message):
+    # once truncated to edge (0, 1), or cast to int64 with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            build()
+    assert str(err.value) == f"{message} needs integer endpoints"
 
 
 def test_cluster_roots_label_components_by_lowest_vertex():
@@ -256,11 +272,77 @@ def reference_percolation_pairs(dims, p_open, seed):
     return len(cluster_sorted), pairs
 
 
+def reference_sierpinski(level):
+    edges = set()
+
+    def recurse(r, c, size):
+        # triangle with apex (r, c), spanning `size` rows downward
+        if size == 1:
+            v0, v1, v2 = (r, c), (r + 1, c), (r + 1, c + 1)
+            for a, b in ((v0, v1), (v0, v2), (v1, v2)):
+                edges.add((min(a, b), max(a, b)))
+            return
+        half = size // 2
+        recurse(r, c, half)
+        recurse(r + half, c, half)
+        recurse(r + half, c + half, half)
+
+    recurse(0, 0, 2 ** level)
+    verts = sorted({v for e in edges for v in e})
+    index = {v: i for i, v in enumerate(verts)}
+    return len(verts), sorted((index[a], index[b]) for (a, b) in edges)
+
+
+def assert_edge_arrays(g, pairs, c=1.0):
+    # the exact arrays, in order: the cumulative conductances pick each Monte
+    # Carlo mark's edge, and the generators sum their diagonals in edge order
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    assert g.edge_x.dtype == g.edge_y.dtype == np.int64 and g.edge_c.dtype == np.float64
+    assert np.array_equal(g.edge_x, pairs[:, 0]) and np.array_equal(g.edge_y, pairs[:, 1])
+    assert np.array_equal(g.edge_c, np.broadcast_to(c, len(pairs)))
+
+
+def test_path_cycle_complete_edges_match_reference_loops():
+    for size in range(1, 13):
+        assert_edge_arrays(path_graph(size), [(i, i + 1) for i in range(size - 1)])
+    for size in range(2, 13):
+        pairs = [(0, 1)] if size == 2 else [(min(i, (i + 1) % size), max(i, (i + 1) % size))
+                                            for i in range(size)]
+        assert_edge_arrays(cycle_graph(size, conductance=0.5), pairs, 0.5)
+    for size in (2, 5, 64):
+        assert_edge_arrays(complete_graph(size),
+                           [(x, y) for x in range(size) for y in range(x + 1, size)])
+
+
+def test_sierpinski_edges_match_reference_recursion():
+    for level in range(8):
+        g = sierpinski_graph(level)
+        n, pairs = reference_sierpinski(level)
+        assert g.n == n
+        assert_edge_arrays(g, pairs)
+
+
+def test_graph_keeps_only_its_edge_arrays():
+    # the (x, y, c) tuple is a view built on access; retained memory is the
+    # three arrays and the two symmetry permutations
+    tracemalloc.start()
+    try:
+        g = complete_graph(256)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = g.edge_x.nbytes + g.edge_y.nbytes + g.edge_c.nbytes
+    assert held <= 1.25 * arrays
+    assert g.edges == tuple((x, y, 1.0) for x in range(256) for y in range(x + 1, 256))
+    assert g.n_edges == 32640
+
+
 def test_torus_edges_match_reference_loop():
     for dims in ([1], [2], [5], [2, 2], [2, 3], [1, 4], [3, 1, 4], [2, 2, 2], [6, 6]):
         g = torus_graph(dims)
         assert g.n == int(np.prod(dims))
         assert g.edges == tuple((x, y, 1.0) for (x, y) in reference_torus_pairs(dims))
+        assert_edge_arrays(g, reference_torus_pairs(dims))
 
 
 def test_percolation_matches_reference_loop():
@@ -279,6 +361,7 @@ def test_percolation_matches_reference_loop():
                 g = percolation_box_graph(dims, p_open, seed)
                 assert g.n == n
                 assert g.edges == tuple((x, y, 1.0) for (x, y) in pairs)
+                assert_edge_arrays(g, pairs)
                 cases += 1
     assert cases > 50 and retries > 20
 

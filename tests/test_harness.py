@@ -8,7 +8,7 @@ import pytest
 
 from binsplit import averaging, distances, harness, spectral, verify
 from binsplit.cli import main as cli_main
-from binsplit.graphs import cycle_graph, uniform_weights
+from binsplit.graphs import WeightedGraph, cycle_graph, uniform_weights
 from binsplit.harness import (ExperimentConfig, ProfileRecord,
                               complete_graph_crossing_time, level_crossing_time,
                               load_config, mixing_time, precutoff_exponents,
@@ -429,6 +429,39 @@ def test_nash_runner_writes_the_configured_grid(tmp_path):
     assert [r.t for r in back] == grid
     assert [r.t_normalized for r in back] == [t / t_rel for t in grid]
     assert all(r.kind == "profile:cycle" for r in back)
+
+
+def test_runners_and_verify_read_only_the_edge_arrays(tmp_path, monkeypatch):
+    # the (x, y, c) tuple is a view for callers outside the package: every
+    # builder, runner and check must work with it refusing
+    def refuse(graph):
+        raise AssertionError("edges read as a tuple")
+
+    monkeypatch.setattr(WeightedGraph, "edges", property(refuse))
+    edge_file = tmp_path / "triangle.txt"
+    edge_file.write_text("0 1 2.0\n1 2 1.0\n2 0 0.5\n")
+    graphs = [{"kind": "path", "size": 4}, {"kind": "torus", "dims": [3, 3]},
+              {"kind": "complete", "size": 4}, {"kind": "custom", "path": str(edge_file)}]
+    assert len(run_gap_sweep(ExperimentConfig(k=[1, 3], extra={"graphs": graphs}))) == 8
+    exact = ExperimentConfig(graph={"kind": "cycle", "size": 5}, k=[1, 4],
+                             times={"mode": "absolute", "values": [0.5, 2.0]})
+    bound = ExperimentConfig(graph={"kind": "torus", "dims": [3, 3]}, k=[4],
+                             times={"mode": "absolute", "values": [0.5, 2.0]})
+    assert run_cutoff_bin(exact)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "DEFAULT_TRANSIENT_CAP", 100)  # 495 states, 81 labeled pairs
+        assert {r.kind for r in run_cutoff_bin(bound)} >= {"lower", "upper"}
+    assert run_avg_profile(ExperimentConfig(k=[4], times={"mode": "trel", "multiples": [0.5, 1.0]},
+                                            replicas=100, seed=7))
+    assert run_complete_cdsz(ExperimentConfig(graph={"kind": "complete", "size": 64},
+                                              times={"mode": "tstar", "multiples": [0.5, 1.0]},
+                                              replicas=20, seed=9))
+    fractal = [{"kind": "sierpinski", "level": 3, "label": "s3"},
+               {"kind": "percolation_box", "dims": [8, 8], "p_open": 0.8, "seed": 11,
+                "label": "p8"}]
+    assert len(run_nash(ExperimentConfig(extra={"graphs": fractal}))) == 2
+    code, rows = verify.run_verify()
+    assert code == 0, [r for r in rows if not r["pass"]]
 
 
 def test_verify_battery_passes_and_counts():

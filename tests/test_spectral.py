@@ -400,7 +400,10 @@ def test_gap_only_solve_rejects_a_null_space_that_is_not_simple(ritz, monkeypatc
     # two disjoint 300-cycles: shift-invert finds both null eigenvalues, each
     # of rounding size; Lanczos finds the second only through rounding, as
     # the 8-value solve did on two disjoint torus3x3 k=5 spaces (these two
-    # Ritz values); neither may be reported as the gap
+    # Ritz values); neither may be reported as the gap.  The reducibility
+    # check would reject this chain before any solve, so it is bypassed to
+    # reach the null-space check behind it
+    monkeypatch.setattr(spectral, "connected_components", lambda *args, **kwargs: (1, None))
     monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", 1)
     if ritz is not None:
         monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: np.array(ritz))
@@ -410,6 +413,28 @@ def test_gap_only_solve_rejects_a_null_space_that_is_not_simple(ritz, monkeypatc
     mu = np.concatenate([w.pi, w.pi]) / 2
     with pytest.raises(ValueError, match="no positive eigenvalue"):
         spectral_gap(Q, mu, eigenfunction=False)
+
+
+def disjoint_pair(Q, mu):
+    return scipy.sparse.block_diag([Q, Q]).tocsr(), np.concatenate([mu, mu]) / 2
+
+
+@pytest.mark.parametrize("eigenfunction", [True, False])
+@pytest.mark.parametrize("route", ["dense", "lanczos"])
+def test_spectral_gap_rejects_a_reducible_chain(route, eigenfunction):
+    # two disjoint copies: 12 states solve densely, 2 x 1,287 by Lanczos; on
+    # both routes the solvers alone returned one component's gap (0.5, 1.5)
+    if route == "dense":
+        w = uniform_weights(6)
+        Q, mu = disjoint_pair(generator_single_particle(cycle_graph(6), w), w.pi)
+    else:
+        g, w = torus_graph([3, 3]), uniform_weights(9)
+        space = enumerate_configs(9, 5)
+        Q, mu = disjoint_pair(generator_splitting(g, w, 5, space),
+                              multinomial_measure(w, 5, space))
+    assert (Q.shape[0] <= spectral.DENSE_EIG_CUTOFF) == (route == "dense")
+    with pytest.raises(ValueError, match="reducible: 2 strongly connected components"):
+        spectral_gap(Q, mu, eigenfunction=eigenfunction)
 
 
 @pytest.mark.parametrize("graph", [cycle_graph(8), torus_graph((6, 6))],
