@@ -2,6 +2,7 @@
 norms, evolved densities, chi-square/TV bounds between multinomial laws, the
 sqrt(e k .) upper bound, Wilson's lower bound, the heat/noise split of the
 averaged L^2 error, and the effective-dimension fit of heat-kernel decay.
+All single-particle facts come from :func:`single_particle_spectrum`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .spectral import (
     generator_splitting_labeled,
     multinomial_measure,
     spectral_gap,
+    _gap_spectrum,
     _symmetrized,
     _Uniformization,
 )
@@ -37,10 +39,13 @@ NASH_MIN_POINTS = 4
 NASH_R2_THRESHOLD = 0.97
 NASH_DIM_CAP = 8.0
 NASH_TIMESCALE_CAP = 4.0  # finite-dimensional geometries keep t_nash = O(t_rel)
+# vertices of the single-particle eigh; with one BLAS thread on a 2-CPU Xeon:
+# 0.68 s at 1,095 (Sierpinski 6), 2.1-2.3 s and 163 MB peak RSS at 2,048,
+# 13.3 s and 315 MB at 3,282 (Sierpinski 7), 16.9 s and 454 MB at 4,096
+SINGLE_PARTICLE_EIGH_CAP = 2_048
 
 __all__ = [
     "evolved_density",
-    "heat_kernel_max_profile",
     "chi2_multinomial",
     "tv_bound_multinomial",
     "multinomial_tv_exact",
@@ -57,6 +62,7 @@ __all__ = [
     "l2_decomposition",
     "l2_sq_exact",
     "worst_l2_sq",
+    "SingleParticleSpectrum",
     "single_particle_spectrum",
 ]
 
@@ -71,31 +77,61 @@ def evolved_density(graph: WeightedGraph, weights: SiteWeights, eta, t: float,
     return evolve_observable(Q, u, t, tol)
 
 
-def single_particle_spectrum(graph: WeightedGraph, weights: SiteWeights) -> Spectrum:
-    Q = generator_single_particle(graph, weights)
-    return spectral_gap(Q, weights.pi)
+@dataclass(frozen=True)
+class SingleParticleSpectrum(Spectrum):
+    """One particle's spectrum, which times every k by Aldous' identity, with
+    Wilson's gap eigenfunction ``psi`` and the Nash heat profile, from one
+    eigendecomposition U diag(lam) U^T of D^(1/2) (-Q1) D^(-1/2), D = diag(pi).
+    ``psi`` is the gap column of U over sqrt(pi) of largest L^1(pi) norm, its
+    first nonvanishing coordinate positive (``_tie_break_eigenfunction``).
+    Above ``SINGLE_PARTICLE_EIGH_CAP`` vertices ``psi`` and the profile raise."""
+
+    n: int
+    dense: tuple | None = None  # (lam as eigh returns them, U, pi, psi)
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self._dense("the gap eigenfunction")[3]
+
+    def heat_profile(self, times) -> np.ndarray:
+        """max_{x,y} h_t^x(y) at every time: by Cauchy-Schwarz the diagonal
+        max of h_t(x, x) = sum_j U_xj^2 e^(-lam_j t) / pi_x."""
+        lam, U, pi, _ = self._dense("the heat-kernel profile")
+        return ((U ** 2 / pi[:, None]) @ np.exp(-np.outer(lam, times))).max(axis=0)
+
+    def _dense(self, what: str) -> tuple:
+        if self.dense is None:
+            raise StateSpaceCapError(f"{what} needs a dense eigh; the graph has {self.n} "
+                                     f"vertices, above the cap of {SINGLE_PARTICLE_EIGH_CAP}")
+        return self.dense
 
 
-def _heat_decay(graph: WeightedGraph, weights: SiteWeights):
-    """(t_rel, profile) from one dense eigendecomposition U diag(lam) U^T of
-    the symmetrized single-particle generator; a graph is connected, so
-    lam[1] is the gap.  profile(times) is max_{x,y} h_t^x(y) at every time:
-    h_t(x, y) is the L^2(pi) product of h_{t/2}(x, .) and h_{t/2}(y, .), so
-    by Cauchy-Schwarz the max sits on the diagonal
-    h_t(x, x) = sum_j U_xj^2 e^(-lam_j t) / pi_x, one matrix product for all
-    times."""
+def _tie_break_eigenfunction(vecs: np.ndarray, sqrt_mu: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    # vecs: orthonormal columns spanning the gap eigenspace (symmetrized coords)
+    best, best_l1 = None, -1.0
+    for j in range(vecs.shape[1]):
+        psi = vecs[:, j] / sqrt_mu
+        l1 = float(np.sum(mu * np.abs(psi)))
+        if l1 > best_l1 + 1e-14:
+            best, best_l1 = psi, l1
+    nz = np.nonzero(np.abs(best) > 1e-12 * np.abs(best).max())[0]
+    if nz.size and best[nz[0]] < 0:
+        best = -best
+    return best
+
+
+def single_particle_spectrum(graph: WeightedGraph, weights: SiteWeights) -> SingleParticleSpectrum:
+    """One dense ``eigh`` up to ``SINGLE_PARTICLE_EIGH_CAP`` vertices, else ``spectral_gap``."""
     if graph.n < 2:
-        raise ValueError("a one-vertex graph has no heat-kernel decay")
-    lam, U = eigh(_symmetrized(generator_single_particle(graph, weights), weights.pi).toarray())
-    diagonal = U ** 2 / weights.pi[:, None]
-    return 1.0 / lam[1], lambda times: (diagonal @ np.exp(-np.outer(lam, times))).max(axis=0)
-
-
-def heat_kernel_max_profile(graph: WeightedGraph, weights: SiteWeights,
-                            times) -> np.ndarray:
-    """max_{x,y} h_t^x(y) on a time grid, read off the diagonal of the exact
-    eigendecomposition."""
-    return _heat_decay(graph, weights)[1](times)
+        raise ValueError("a one-vertex graph has no spectral gap")
+    Q = generator_single_particle(graph, weights)
+    if graph.n > SINGLE_PARTICLE_EIGH_CAP:
+        return SingleParticleSpectrum(**vars(spectral_gap(Q, weights.pi)), n=graph.n)
+    lam, U = eigh(_symmetrized(Q, weights.pi).toarray())
+    spec = _gap_spectrum(lam, graph.n, full=True)
+    in_gap = np.abs(lam - spec.gap) <= 1e-9 * lam[-1]
+    psi = _tie_break_eigenfunction(U[:, in_gap], np.sqrt(weights.pi), weights.pi)
+    return SingleParticleSpectrum(**vars(spec), n=graph.n, dense=(lam, U, weights.pi, psi))
 
 
 def chi2_multinomial(eta, weights: SiteWeights, k: int) -> float:
@@ -180,6 +216,11 @@ def tv_bound_from_l2(k: int, w2_sq: float) -> float:
     return min(1.0, math.sqrt(math.e * k * w2_sq))
 
 
+def _growth(x: float) -> float:
+    """e^x, inf past e^709, where Wilson's a_t takes its limit 0."""
+    return math.exp(x) if x <= 709.0 else math.inf
+
+
 @dataclass(frozen=True)
 class WilsonReport:
     """Distinguishing-statistic report for the lower bound on TV mixing.
@@ -206,7 +247,7 @@ class WilsonReport:
 
 def wilson_report(graph: WeightedGraph, weights: SiteWeights, k: int, eta,
                   t: float, mc_replicas: int = 0, seed: int = 0,
-                  spec: Spectrum | None = None) -> WilsonReport:
+                  spec: SingleParticleSpectrum | None = None) -> WilsonReport:
     """Wilson statistic built from the single-particle gap eigenfunction.
 
     Exact parts: equilibrium mean/variance from the multinomial moments, the
@@ -228,7 +269,7 @@ def wilson_report(graph: WeightedGraph, weights: SiteWeights, k: int, eta,
     mean_out = k * math.exp(-t * spec.gap) * overlap
     dev_inf = float(np.max(eta / pi))
     n = graph.n
-    denom = 1.0 + (k / n) * (dev_inf ** 2 + math.exp(t * spec.gap))
+    denom = 1.0 + (k / n) * (dev_inf ** 2 + _growth(t * spec.gap))
     a_t = k * overlap ** 2 / denom
     lower = max(0.0, 1.0 - 8.0 / a_t) if a_t > 0 else 0.0
     var_out = mc_mean = mc_stderr = None
@@ -247,12 +288,12 @@ def wilson_report(graph: WeightedGraph, weights: SiteWeights, k: int, eta,
 
 
 def wilson_dirac_lower_bounds(weights: SiteWeights, k: int, times,
-                              spec: Spectrum) -> np.ndarray:
+                              spec: SingleParticleSpectrum) -> np.ndarray:
     """:func:`wilson_report`'s lower bound for the pile of k at every vertex v
     (rows: times, columns: v).  For eta = delta_v, <psi, eta/pi> = psi(v)
     and max eta/pi = 1/pi(v)."""
     psi, pi = spec.psi, weights.pi
-    growth = np.array([[math.exp(float(t) * spec.gap)] for t in times])
+    growth = np.array([[_growth(float(t) * spec.gap)] for t in times])
     a_t = k * psi ** 2 / (1.0 + (k / pi.size) * ((1.0 / pi) ** 2 + growth))
     with np.errstate(divide="ignore"):
         return np.where(a_t > 0, np.maximum(0.0, 1.0 - 8.0 / a_t), 0.0)
@@ -291,7 +332,7 @@ def nash_fit(graph: WeightedGraph, weights: SiteWeights, t_grid) -> NashFit:
     grid points qualify.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    return _fit_profile(t_grid, heat_kernel_max_profile(graph, weights, t_grid))
+    return _fit_profile(t_grid, single_particle_spectrum(graph, weights).heat_profile(t_grid))
 
 
 def _fit_profile(t_grid: np.ndarray, prof: np.ndarray) -> NashFit:
@@ -331,16 +372,16 @@ def nash_diagnose(graph: WeightedGraph, weights: SiteWeights,
     (on the complete graph the two scales separate while the window fit can
     still look locally like a power law).  The default grid is 48 log-spaced
     times from t_rel / 100 to t_rel."""
-    return _nash_diagnosis(*_heat_decay(graph, weights), t_grid)[2]
+    return _nash_diagnosis(single_particle_spectrum(graph, weights), t_grid)[2]
 
 
-def _nash_diagnosis(t_rel: float, profile, t_grid=None):
+def _nash_diagnosis(spec: SingleParticleSpectrum, t_grid=None):
     """(grid, profile on it, diagnosis) of :func:`nash_diagnose`, from the
-    relaxation time and the profile map :func:`_heat_decay` returns."""
+    single-particle spectrum."""
     if t_grid is None:
-        t_grid = np.geomspace(t_rel / 100.0, t_rel, 48)
+        t_grid = np.geomspace(spec.t_rel / 100.0, spec.t_rel, 48)
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    prof = profile(t_grid)
+    prof = spec.heat_profile(t_grid)
     try:
         fit = _fit_profile(t_grid, prof)
     except ValueError as err:
@@ -350,9 +391,9 @@ def _nash_diagnosis(t_rel: float, profile, t_grid=None):
         reason = f"log-log fit unstable (R^2={fit.r_squared:.4f})"
     elif not (0.0 < fit.d_hat <= NASH_DIM_CAP):
         reason = f"fitted dimension {fit.d_hat:.2f} outside (0, {NASH_DIM_CAP:g}]"
-    elif fit.t_nash_hat > NASH_TIMESCALE_CAP * t_rel:
+    elif fit.t_nash_hat > NASH_TIMESCALE_CAP * spec.t_rel:
         reason = (f"fitted burn-in time {fit.t_nash_hat:.3g} is "
-                  f"{fit.t_nash_hat / t_rel:.1f}x the relaxation time")
+                  f"{fit.t_nash_hat / spec.t_rel:.1f}x the relaxation time")
     else:
         return t_grid, prof, NashDiagnosis(fit=fit, finite_dimensional=True, reason="ok")
     return t_grid, prof, NashDiagnosis(fit=fit, finite_dimensional=False, reason=reason)

@@ -140,7 +140,7 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {path}; "
                          f"put free-form entries under 'extra'")
     kwargs = dict(raw)
-    kwargs["extra"] = dict(raw.get("extra") or {})
+    kwargs["extra"] = dict(_mapping("extra", raw.get("extra") or {}))
     for key, kind in _NUMBER_KEYS.items():
         if key in kwargs:
             kwargs[key] = _number(key, kwargs[key], kind)
@@ -159,9 +159,24 @@ def _check_keys(config: ExperimentConfig, **rules) -> None:
             raise ValueError(f"config key {key!r} must be {want}, got {value}")
 
 
+def _mapping(key: str, value):
+    """``value`` if it is a mapping, else a ValueError naming ``key``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be a mapping, got {value!r}")
+    return value
+
+
+def _graphs(config: ExperimentConfig):
+    """(label, graph, weights) per graph of ``extra.graphs``, else of ``graph``."""
+    specs = _mapping("extra", config.extra).get("graphs")
+    for i, spec in enumerate(specs or [config.graph]):
+        graph = resolve_graph(_mapping(f"extra.graphs[{i}]", spec) if specs else spec)
+        yield spec.get("label") or spec["kind"], graph, resolve_weights(config.weights, graph.n)
+
+
 def resolve_graph(spec: dict) -> WeightedGraph:
     """The graph of a ``graph`` spec; a bad field raises a ValueError naming it."""
-    spec = dict(spec)
+    spec = dict(_mapping("graph", spec))
     spec.pop("label", None)
     kind = spec.pop("kind", None)
     if kind not in _GRAPH_FIELDS:
@@ -184,7 +199,7 @@ def resolve_graph(spec: dict) -> WeightedGraph:
 
 
 def resolve_weights(spec: dict, n: int) -> SiteWeights:
-    kind = spec.get("kind", "uniform")
+    kind = _mapping("weights", spec).get("kind", "uniform")
     if kind == "uniform":
         return uniform_weights(n)
     if kind == "file":
@@ -243,7 +258,7 @@ def resolve_time_grid(spec: dict, t_rel: float, k: int | None = None, key: str =
     ``tmix_window`` (the mixing time for k plus/minus C t_rel for each C).
     A bad field, or an empty or negative grid, raises a ValueError naming ``key``.
     """
-    mode = spec.get("mode", "absolute")
+    mode = _mapping(key, spec).get("mode", "absolute")
 
     def need(name, many=False):
         if name not in spec:
@@ -397,12 +412,8 @@ def run_gap_sweep(config: ExperimentConfig):
     flagging any relative deviation from the single-particle gap above 1e-8."""
     from . import spectral
     _check_keys(config, k=_K_RULE)
-    graph_specs = config.extra.get("graphs") or [config.graph]
     rows = []
-    for gspec in graph_specs:
-        graph = resolve_graph(gspec)
-        weights = resolve_weights(config.weights, graph.n)
-        label = gspec.get("label") or gspec["kind"]
+    for label, graph, weights in _graphs(config):
         gap1 = None
         for k in config.k:
             try:
@@ -413,10 +424,10 @@ def run_gap_sweep(config: ExperimentConfig):
                 continue
             Q = spectral.generator_splitting(graph, weights, k, space)
             mu = spectral.multinomial_measure(weights, k, space)
-            spec_k = spectral.spectral_gap(Q, mu, eigenfunction=False)
+            spec_k = spectral.spectral_gap(Q, mu)
             if gap1 is None:
                 gap1 = spectral.spectral_gap(spectral.generator_single_particle(graph, weights),
-                                             weights.pi, eigenfunction=False).gap
+                                             weights.pi).gap
             rel = abs(spec_k.gap / gap1 - 1.0)
             rows.append({"graph": label, "k": k, "gap": spec_k.gap,
                          "rel_dev": rel,
@@ -568,7 +579,7 @@ def run_complete_cdsz(config: ExperimentConfig):
         raise ValueError(f"config key 'graph' has {n} vertices; the crossing experiment needs >= 64")
     weights = resolve_weights(config.weights, n)
     t_star = complete_graph_crossing_time(n)
-    tspec = config.times
+    tspec = _mapping("times", config.times)
     if tspec.get("mode") == "tstar":
         # a trel grid in units of t_star, checked as any other grid
         tspec = {"multiples": list(np.linspace(0.3, 1.8, 25)), **tspec, "mode": "trel"}
@@ -600,19 +611,15 @@ def run_complete_cdsz(config: ExperimentConfig):
 def run_nash(config: ExperimentConfig):
     """Heat-kernel decay profiles and effective-dimension diagnoses."""
     from . import distances
-    graph_specs = config.extra.get("graphs") or [config.graph]
     rows = []
     records = []
-    for gspec in graph_specs:
-        graph = resolve_graph(gspec)
-        weights = resolve_weights(config.weights, graph.n)
-        label = gspec.get("label") or gspec["kind"]
-        t_rel, profile = distances._heat_decay(graph, weights)
+    for label, graph, weights in _graphs(config):
+        spec = distances.single_particle_spectrum(graph, weights)
         grid_spec = config.extra.get("nash_grid")
-        grid = resolve_time_grid(grid_spec, t_rel, key="extra.nash_grid") if grid_spec else None
-        grid, prof, diag = distances._nash_diagnosis(t_rel, profile, grid)
+        grid = resolve_time_grid(grid_spec, spec.t_rel, key="extra.nash_grid") if grid_spec else None
+        grid, prof, diag = distances._nash_diagnosis(spec, grid)
         for t, h in zip(grid, prof):
-            records.append(ProfileRecord("nash", 1, float(t), float(t / t_rel),
+            records.append(ProfileRecord("nash", 1, float(t), float(t / spec.t_rel),
                                          float(h), 0.0, f"profile:{label}"))
         rows.append({
             "graph": label,

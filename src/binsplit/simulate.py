@@ -221,7 +221,7 @@ def _group_shape(replicas: int, cols: int, events: int, width: int):
 
 
 def _lockstep(tab: _Tables, opts: SimOptions, start: np.ndarray, width: int,
-              step, observe, guard=None) -> np.ndarray:
+              step, observe) -> np.ndarray:
     """The one replica engine: ``values[r, i]`` is row r of ``observe(block)``
     at record time i, row r of ``start`` run as replica opts.replica_id + r.
 
@@ -230,7 +230,7 @@ def _lockstep(tab: _Tables, opts: SimOptions, start: np.ndarray, width: int,
     draws)`` applies a chunk, whose s-th step touches the first ``active[s]``
     rows of ``order`` (rows by descending count): edges (x[s], y[s]) with
     x-shares px[s], uniforms ``draws[row, s]``.  The step may overwrite x and
-    y.  ``guard(state)`` may correct states before a record.
+    y.
     """
     replicas, cols = start.shape
     rec = opts.record_times
@@ -264,8 +264,6 @@ def _lockstep(tab: _Tables, opts: SimOptions, start: np.ndarray, width: int,
                 active = np.searchsorted(-ranked, -np.arange(ranked[0]), side="left").tolist()
                 marks = chunk[order[:live.size], :len(active), 0]
                 step(state, order, active, *tab.endpoints(marks), chunk)
-            if guard is not None:
-                guard(state)
             out = values[g0:g0 + rows, i]
             for b0 in range(0, rows, block):
                 out[b0:b0 + block] = observe(state[b0:b0 + block])
@@ -304,31 +302,29 @@ def simulate_averaging_batch(graph: WeightedGraph, weights: SiteWeights, eta0,
     """Replicas opts.replica_id, ..., opts.replica_id + replicas - 1 of the
     averaging dynamics, advanced in lockstep groups.
 
-    Returns (values, drift).  ``values[r, i]`` is row r of ``observe(block)``
-    applied to the (rows, n) block of states at record time i (the state
-    itself when ``observe`` is None), so ``values`` has shape
-    (replicas, len(record_times)) plus the trailing shape of ``observe``.
-    Float drift is guarded per replica: at each record time a state whose
-    mass is off 1 by more than DRIFT_TOL is rescaled (the dynamics are
-    linear, so this changes them only within rounding); ``drift`` is the
-    total number of rescales over all replicas.
+    ``values[r, i]`` is row r of ``observe(block)`` applied to the (rows, n)
+    block of states at record time i (the state itself when ``observe`` is
+    None), so ``values`` has shape (replicas, len(record_times)) plus the
+    trailing shape of ``observe``.  Nothing rescales a state: one whose mass
+    is off 1 by more than DRIFT_TOL at a record time raises.
     """
     n = graph.n
     eta0 = np.asarray(eta0, dtype=float)
     if eta0.shape != (n,):
         raise ValueError(f"start must be a vector of length {n}, got shape {eta0.shape}")
-    drift = 0
-
-    def guard(eta):
-        nonlocal drift
-        mass = eta.sum(axis=1)
-        off = np.abs(mass - 1.0) > DRIFT_TOL
-        eta[off] /= mass[off, None]
-        drift += int(off.sum())
-
-    values = _lockstep(_sim_tables(graph, weights), opts, np.broadcast_to(eta0, (replicas, n)),
-                       1, _apply_marks, observe or np.copy, guard)
-    return values, drift
+    observe = observe or np.copy
+    shape = np.shape(observe(eta0[None].copy()))[1:]
+    # column 0 carries each state's mass, checked once the batch is done
+    out = _lockstep(_sim_tables(graph, weights), opts, np.broadcast_to(eta0, (replicas, n)), 1,
+                    _apply_marks, lambda block: np.column_stack(
+                        [block.sum(axis=1), np.reshape(observe(block), (len(block), -1))]))
+    defect = np.abs(out[:, :, 0] - 1.0)
+    bad = np.argwhere(defect > DRIFT_TOL)
+    if bad.size:
+        r, i = bad[0]
+        raise ValueError(f"replica {opts.replica_id + r} has mass off 1 by {defect[r, i]:.3e} "
+                         f"at t={opts.record_times[i]:g}, above DRIFT_TOL = {DRIFT_TOL:g}")
+    return out[:, :, 1:].reshape(out.shape[:2] + shape)
 
 
 def wasserstein_estimate(graph: WeightedGraph, weights: SiteWeights, eta0,
@@ -339,7 +335,7 @@ def wasserstein_estimate(graph: WeightedGraph, weights: SiteWeights, eta0,
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a standard error")
     opts = SimOptions(record_times=tuple(float(t) for t in times), seed=seed)
-    norms, _ = simulate_averaging_batch(
+    norms = simulate_averaging_batch(
         graph, weights, eta0, opts, replicas,
         observe=lambda block: averaging.transport_norm(block, weights, p))
     # one contiguous row per time: the sums run as they would over a 1-d array
@@ -351,16 +347,16 @@ def simulate_averaging(graph: WeightedGraph, weights: SiteWeights, eta0,
                        opts: SimOptions):
     """States of the averaging dynamics at the requested record times: the
     lockstep batch of the one replica ``opts.replica_id``."""
-    states, _ = simulate_averaging_batch(graph, weights, eta0, opts, 1)
+    states = simulate_averaging_batch(graph, weights, eta0, opts, 1)
     return list(states[0])
 
 
 def simulate_splitting_batch(graph: WeightedGraph, weights: SiteWeights, xs0,
                              opts: SimOptions, replicas: int, observe=None):
     """Replicas of the labeled particle system, as in
-    :func:`simulate_averaging_batch` but returning ``values`` alone, with
-    ``observe`` applied to (rows, k) blocks of positions.  ``xs0`` holds the
-    k start positions: (k,) for every replica, or (replicas, k)."""
+    :func:`simulate_averaging_batch`, with ``observe`` applied to (rows, k)
+    blocks of positions.  ``xs0`` holds the k start positions: (k,) for every
+    replica, or (replicas, k)."""
     raw = np.asarray(xs0)
     pos = raw.astype(np.int64)
     if raw.ndim not in (1, 2) or raw.ndim == 2 and raw.shape[0] != replicas:

@@ -1,5 +1,7 @@
 """Exact finite-state machinery: configuration spaces, rate matrices,
-stationary measures, spectra, Dirichlet forms, and transient distributions.
+stationary measures, spectral gaps (eigenvalues only; the single particle's
+eigenvectors come from ``distances.single_particle_spectrum``), Dirichlet
+forms, and transient distributions.
 
 Conventions.  A rate matrix Q acts on functions by (Qf)(i) = sum_j Q_ij f(j)
 with zero row sums; measures evolve as nu_t = nu exp(tQ) (row vectors) and
@@ -35,7 +37,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.linalg.blas import dgemm
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
@@ -339,34 +340,14 @@ def reversibility_residual(Q, mu: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of -Q sorted ascending, with the gap data.
-
-    ``psi`` is the gap eigenfunction normalized to unit L^2(mu) norm; with a
-    degenerate gap, the basis vector maximizing the L^1(mu) norm is chosen
-    and its sign fixed so the first nonvanishing coordinate is positive.
-    It is None for a gap-only spectrum (``eigenfunction=False``).
-    ``full`` records whether all eigenvalues were computed.
-    """
+    """Eigenvalues of -Q sorted ascending, the null one set to 0, with the
+    gap and t_rel = 1/gap.  ``full`` records whether all eigenvalues were
+    computed (the dense route) or only the null one and the gap."""
 
     eigenvalues: np.ndarray
     gap: float
     t_rel: float
-    psi: np.ndarray | None
     full: bool
-
-
-def _tie_break_eigenfunction(vecs: np.ndarray, sqrt_mu: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    # vecs: orthonormal columns spanning the gap eigenspace (symmetrized coords)
-    best, best_l1 = None, -1.0
-    for j in range(vecs.shape[1]):
-        psi = vecs[:, j] / sqrt_mu
-        l1 = float(np.sum(mu * np.abs(psi)))
-        if l1 > best_l1 + 1e-14:
-            best, best_l1 = psi, l1
-    nz = np.nonzero(np.abs(best) > 1e-12 * np.abs(best).max())[0]
-    if nz.size and best[nz[0]] < 0:
-        best = -best
-    return best
 
 
 def _symmetrized(Q, mu: np.ndarray) -> sp.csr_matrix:
@@ -382,44 +363,36 @@ def _symmetrized(Q, mu: np.ndarray) -> sp.csr_matrix:
     return 0.5 * (A + A.T)
 
 
-def spectral_gap(Q, mu: np.ndarray, *, eigenfunction: bool = True) -> Spectrum:
-    """Spectrum of -Q for a chain reversible with respect to mu.
+def _gap_spectrum(evals: np.ndarray, dim: int, full: bool) -> Spectrum:
+    """The :class:`Spectrum` of ascending eigenvalues of -Q; those within
+    1e-12 dim times the largest of 0 are null, and the smallest must be."""
+    zero_tol = 1e-12 * (float(evals[-1]) if evals.size else 0.0) * dim
+    positive = evals[evals > zero_tol]
+    if positive.size == 0 or abs(evals[0]) > zero_tol:
+        raise ValueError("no positive eigenvalue found; is the chain connected?")
+    gap = float(positive[0])
+    clean = np.maximum(evals, 0.0)
+    clean[np.abs(evals) <= zero_tol] = 0.0
+    return Spectrum(eigenvalues=clean, gap=gap, t_rel=1.0 / gap, full=full)
 
-    Symmetrizes with D^(1/2) (-Q) D^(-1/2), D = diag(mu), then solves the
-    symmetric eigenproblem by one of three routes:
 
-    * dim <= ``DENSE_EIG_CUTOFF`` (512): dense ``eigh``, all eigenvalues.
-    * Otherwise the 8 smallest eigenvalues (2 for a gap-only solve, below)
-      by implicitly restarted Lanczos (``eigsh``, ``which="SA"``) with no
-      factorization, at most ``LANCZOS_RESTARTS`` (200) restarts.  It wins
-      on k-particle spaces, whose LU factors fill in badly: cycle12 k=5
-      (4,368 states) takes 0.06 s against 3.9 s by shift-invert.
-    * Only if Lanczos does not converge, shift-invert Lanczos at
-      sigma = -1e-6.  Long 1-D chains need it: their gap is tiny against
-      the width of the spectrum, so Lanczos does not converge on the
-      cycle-1024 single particle in 400 restarts, while a cycle's LU has
-      almost no fill (0.005 s).
+def spectral_gap(Q, mu: np.ndarray) -> Spectrum:
+    """Gap of -Q for a chain reversible with respect to mu, from eigenvalues
+    alone: no route computes an eigenvector.
 
-    Both sparse routes solve the operator divided by max|Q|, so ARPACK's
-    absolute convergence floor (eps^(2/3)) sits at unit scale whatever the
-    time unit, and multiply the eigenvalues back.  Rejects input whose
-    detailed-balance residual exceeds ``REVERSIBILITY_TOL`` max|Q|, reporting
-    the residual, and a reducible chain, reporting its number of strongly
-    connected components (alone, every route returns one component's gap).
-    Every tolerance is relative to max|Q| or to the largest computed
-    eigenvalue, so rescaling all rates rescales the result.
-
-    ``eigenfunction=False`` skips every eigenvector (``eigvals_only`` in
-    ``eigh``, ``return_eigenvectors=False`` in ``eigsh``) and the tie-break;
-    ``psi`` is then None, and the gap matches the full solve to rounding.
-    Both sparse routes then ask for 2 eigenvalues, the null one and the gap,
-    so the zero tolerance is relative to the gap; a smallest value that is
-    not zero against it means the null eigenvalue is not simple, and raises.
-    Lanczos runs with ncv 14, so each restart adds the 12 vectors an 8-value
-    solve adds and ``LANCZOS_RESTARTS`` caps both at about 2,420 matvecs on
-    the cycle-1024 single particle.  The ``eigsh`` call takes 26 ms against
-    51 ms on cycle12 k=5 and 134 ms against 370 ms on cycle16 k=5 (15,504
-    states).
+    Solves D^(1/2) (-Q) D^(-1/2), D = diag(mu): all eigenvalues by dense
+    ``eigh`` up to ``DENSE_EIG_CUTOFF`` states; above, the null one and the
+    gap by Lanczos (``eigsh``, ``which="SA"``, ncv 14, ``LANCZOS_RESTARTS``),
+    with no factorization to fill in, and by shift-invert at sigma = -1e-6
+    only if Lanczos does not converge (long 1-D chains).  The sparse routes
+    solve the operator over max|Q|, so ARPACK's absolute floor sits at unit
+    scale.  Raises on a detailed-balance residual above ``REVERSIBILITY_TOL``
+    max|Q| and on a reducible chain, naming its number of components: the
+    dense route counts null eigenvalues, one per component, and the sparse
+    routes count the components of Q's pattern before the solve.  Null means
+    zero against the largest computed eigenvalue (the gap on the sparse
+    routes, where a second null value raises), so rescaling all rates
+    rescales the gap.
     """
     mu = np.asarray(mu, dtype=float)
     dim = mu.size
@@ -428,49 +401,30 @@ def spectral_gap(Q, mu: np.ndarray, *, eigenfunction: bool = True) -> Spectrum:
     if res > REVERSIBILITY_TOL * scale:
         raise ValueError(f"rate matrix is not reversible w.r.t. mu: "
                          f"max detailed-balance residual {res:.3e}")
-    parts = connected_components(sp.csr_matrix(Q), directed=True, connection="strong")[0]
-    if parts > 1:
-        raise ValueError(f"rate matrix is reducible: {parts} strongly connected components")
-    sqrt_mu = np.sqrt(mu)
     A = _symmetrized(Q, mu)
     if dim <= DENSE_EIG_CUTOFF:
-        out = eigh(A.toarray(), eigvals_only=not eigenfunction)
-        full = True
+        spec = _gap_spectrum(eigh(A.toarray(), eigvals_only=True), dim, full=True)
+        parts = int(np.count_nonzero(spec.eigenvalues == 0.0))
     else:
-        A = A / scale
-        # ncv 14 adds the 12 vectors per restart that the default ncv (20)
-        # adds to an 8-value solve, so LANCZOS_RESTARTS is one matvec budget
-        kk = min(8 if eigenfunction else 2, dim - 1)
-        ncv = None if eigenfunction else min(14, dim)
-        # a fixed start vector keeps the result bit-reproducible; it must not
-        # be sqrt_mu, the null vector of A
-        v0 = np.random.default_rng(EIGSH_START_SEED).standard_normal(dim)
-        try:
-            out = eigsh(A, k=kk, which="SA", v0=v0, ncv=ncv, maxiter=LANCZOS_RESTARTS,
-                        return_eigenvectors=eigenfunction)
-        except ArpackNoConvergence:
-            # shift slightly below the spectrum: 0 is always an eigenvalue, so
-            # a factorization exactly at 0 would hit a singular matrix
-            out = eigsh(A, k=kk, sigma=-1e-6, which="LM", v0=v0,
-                        return_eigenvectors=eigenfunction)
-        full = False
-    evals, evecs = out if eigenfunction else (out, None)
-    if not full:
-        order = np.argsort(evals)
-        evals = evals[order] * scale
-        evecs = evecs[:, order] if eigenfunction else None
-    lam_max = float(evals[-1]) if evals.size else 0.0
-    zero_tol = 1e-12 * lam_max * dim
-    positive = evals[evals > zero_tol]
-    # the smallest value must be the null eigenvalue, zero against the rest
-    if positive.size == 0 or abs(evals[0]) > zero_tol:
-        raise ValueError("no positive eigenvalue found; is the chain connected?")
-    gap = float(positive[0])
-    in_gap = np.nonzero(np.abs(evals - gap) <= 1e-9 * lam_max)[0]
-    psi = _tie_break_eigenfunction(evecs[:, in_gap], sqrt_mu, mu) if eigenfunction else None
-    clean = np.maximum(evals, 0.0)
-    clean[np.abs(evals) <= zero_tol] = 0.0
-    return Spectrum(eigenvalues=clean, gap=gap, t_rel=1.0 / gap, psi=psi, full=full)
+        from scipy.sparse.csgraph import connected_components
+        parts = connected_components(sp.csr_matrix(Q), directed=True, connection="strong")[0]
+    if parts > 1:
+        raise ValueError(f"rate matrix is reducible: {parts} strongly connected components")
+    if dim <= DENSE_EIG_CUTOFF:
+        return spec
+    A = A / scale
+    kk, ncv = min(2, dim - 1), min(14, dim)
+    # a fixed start vector keeps the result bit-reproducible; it must not be
+    # sqrt(mu), the null vector of A
+    v0 = np.random.default_rng(EIGSH_START_SEED).standard_normal(dim)
+    try:
+        evals = eigsh(A, k=kk, which="SA", v0=v0, ncv=ncv, maxiter=LANCZOS_RESTARTS,
+                      return_eigenvectors=False)
+    except ArpackNoConvergence:
+        # shift slightly below the spectrum: 0 is always an eigenvalue, so a
+        # factorization exactly at 0 would hit a singular matrix
+        evals = eigsh(A, k=kk, sigma=-1e-6, which="LM", v0=v0, return_eigenvectors=False)
+    return _gap_spectrum(np.sort(evals) * scale, dim, full=False)
 
 
 def _poisson_terms(rate_t: float, tol: float) -> np.ndarray:

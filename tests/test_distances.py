@@ -5,8 +5,8 @@ import pytest
 
 from binsplit import spectral
 from binsplit.averaging import transport_norm
-from binsplit.distances import (chi2_multinomial, evolved_density,
-                                heat_kernel_max_profile, l2_decomposition,
+from binsplit import distances
+from binsplit.distances import (chi2_multinomial, evolved_density, l2_decomposition,
                                 l2_sq_exact, multinomial_tv_exact, nash_diagnose,
                                 nash_fit,
                                 single_particle_spectrum, tv_bound_from_l2,
@@ -15,9 +15,10 @@ from binsplit.distances import (chi2_multinomial, evolved_density,
                                 worst_l2_sq)
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
+from binsplit.harness import ExperimentConfig, run_cutoff_bin
 from binsplit.spectral import (enumerate_configs, generator_single_particle,
                                generator_splitting_labeled, multinomial_measure,
-                               product_weights, transient_distribution)
+                               product_weights, spectral_gap, transient_distribution)
 
 
 def dirac(n, x):
@@ -199,6 +200,47 @@ def test_wilson_bounds_of_every_dirac_match_wilson_report(graph, raw):
     assert (bounds.max() > 0.4) == (graph.n == 120)
 
 
+def test_wilson_bounds_reach_zero_past_the_float_range():
+    # e^(t gap) overflows a float past t gap = 709.78: the bound takes its
+    # limit, a_t -> 0 and a lower bound of 0, in both functions and in the
+    # bound-mode runner, where the torus6x6 at k = 16 is past the exact cap
+    graph, w = torus_graph((6, 6)), uniform_weights(36)
+    spec = single_particle_spectrum(graph, w)
+    late = 800.0 * spec.t_rel
+    rep = wilson_report(graph, w, 16, dirac(36, 0), late, spec=spec)
+    assert rep.a_t == 0.0 and rep.lower_bound == 0.0 and rep.mean_out == 0.0
+    assert np.all(wilson_dirac_lower_bounds(w, 16, [spec.t_rel, late], spec)[1] == 0.0)
+    records = run_cutoff_bin(ExperimentConfig(graph={"kind": "torus", "dims": [6, 6]}, k=[16],
+                                              times={"mode": "trel",
+                                                     "multiples": [1.0, 800.0]}))
+    lower = [r.value for r in records if r.kind == "lower"]
+    upper = [r.value for r in records if r.kind == "upper"]
+    assert len(lower) == len(upper) == 2 and lower[1] == 0.0
+    assert all(lo <= up for lo, up in zip(lower, upper))
+
+
+def test_single_particle_facts_above_the_eigh_cap(monkeypatch):
+    # above the cap only the gap-only solve runs: t_rel is spectral_gap's,
+    # and psi, the heat profile, Wilson's bound and the Nash fits raise
+    monkeypatch.setattr(distances, "SINGLE_PARTICLE_EIGH_CAP", 8)
+    graph, w = cycle_graph(16), uniform_weights(16)
+    spec = single_particle_spectrum(graph, w)
+    gap_only = spectral_gap(generator_single_particle(graph, w), w.pi)
+    assert spec.t_rel == gap_only.t_rel and spec.gap == gap_only.gap
+    assert np.array_equal(spec.eigenvalues, gap_only.eigenvalues)
+    message = "16 vertices, above the cap of 8"
+    for call in (lambda: spec.psi, lambda: spec.heat_profile([1.0]),
+                 lambda: wilson_report(graph, w, 4, dirac(16, 0), 1.0),
+                 lambda: wilson_dirac_lower_bounds(w, 4, [1.0], spec),
+                 lambda: nash_fit(graph, w, np.geomspace(0.5, 10.0, 12)),
+                 lambda: nash_diagnose(graph, w)):
+        with pytest.raises(spectral.StateSpaceCapError, match=message):
+            call()
+    # at the cap the dense eigh runs
+    monkeypatch.setattr(distances, "SINGLE_PARTICLE_EIGH_CAP", 16)
+    assert single_particle_spectrum(graph, w).psi.shape == (16,)
+
+
 def test_l2_decomposition_examples():
     g = cycle_graph(5)
     w = site_weights([1, 2, 3, 2, 1])
@@ -230,7 +272,7 @@ def test_l2_decomposition_matches_monte_carlo():
     # compare squared-norm means through the raw samples of each replica
     from binsplit.simulate import SimOptions, simulate_averaging_batch
     opts = SimOptions(record_times=(t,), seed=33)
-    sq, _ = simulate_averaging_batch(
+    sq = simulate_averaging_batch(
         g, w, eta, opts, replicas,
         observe=lambda block: transport_norm(block, w, 2.0) ** 2)
     sq = sq[:, 0]
@@ -273,7 +315,7 @@ def test_heat_kernel_max_profile_monotone():
     g = cycle_graph(16)
     w = uniform_weights(16)
     ts = np.geomspace(0.05, 20.0, 12)
-    prof = heat_kernel_max_profile(g, w, ts)
+    prof = single_particle_spectrum(g, w).heat_profile(ts)
     assert np.all(np.diff(prof) < 0)
     assert prof[0] <= 16.0 + 1e-9  # bounded by 1/min(pi)
 
@@ -288,7 +330,7 @@ def test_heat_kernel_max_profile_is_the_full_kernel_max():
     Q = generator_single_particle(g, w).toarray()
     ts = np.geomspace(0.01, 50.0, 20)
     ref = np.array([(expm(t * Q) / w.pi).max() for t in ts])
-    prof = heat_kernel_max_profile(g, w, ts)
+    prof = single_particle_spectrum(g, w).heat_profile(ts)
     assert np.max(np.abs(prof / ref - 1.0)) <= 1e-13
 
 

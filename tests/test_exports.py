@@ -42,3 +42,16 @@ def test_monte_carlo_modules_load_without_scipy(tmp_path):
                          env=env, capture_output=True, text=True, check=True)
     assert [ln for ln in out.stdout.splitlines() if ln.startswith("[")] == ["[]"] * 3
     assert (tmp_path / "out" / "cdsz.csv").exists()
+
+
+def test_dense_spectral_gap_loads_no_csgraph():
+    # the dense route counts components by its null eigenvalues, so only a
+    # sparse solve imports scipy.sparse.csgraph
+    src = os.path.dirname(os.path.dirname(binsplit.__file__))
+    code = ("import sys, binsplit.spectral as s, binsplit.graphs as g; "
+            "w = g.uniform_weights(6); "
+            "print(s.spectral_gap(s.generator_single_particle(g.cycle_graph(6), w), w.pi).full, "
+            "'scipy.sparse.csgraph' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "False"]

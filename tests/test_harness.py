@@ -176,6 +176,7 @@ def test_replicas_and_p_norm_name_their_key(run, key, value, bound, monkeypatch)
     ({"mode": "absolute", "values": [-1.0, 2.0]}, None, "'times' must give a nonempty"),
     ({"mode": "absolute", "values": [1.0]}, {"kind": "file"},
      "'weights.path' must be a file path, got None"),
+    (5, None, "'times' must be a mapping, got 5"),
 ])
 def test_bad_time_grid_or_weights_file_names_its_key(times, weights, message):
     cfg = ExperimentConfig(graph={"kind": "cycle", "size": 4}, k=[2], times=times,
@@ -652,6 +653,8 @@ def test_bad_graph_field_or_eta0_names_its_key(graph, eta0, message):
     ({"kind": "cycle", "size": 8}, None, {"dirac": "a"}, "'eta0.dirac' must be an integer, got 'a'"),
     ({"kind": "cycle", "size": 8}, {"kind": "values"}, None,
      "'weights.values' must be a list, got None"),
+    ("cycle", None, None, "'graph' must be a mapping, got 'cycle'"),
+    ({"kind": "cycle", "size": 8}, "uniform", None, "'weights' must be a mapping, got 'uniform'"),
 ])
 def test_mistyped_config_field_names_its_key(graph, weights, eta0, message):
     cfg = ExperimentConfig(graph=graph, weights=weights or {"kind": "uniform"}, eta0=eta0,
@@ -660,6 +663,23 @@ def test_mistyped_config_field_names_its_key(graph, weights, eta0, message):
         run_avg_profile(cfg)
     # a numpy integer is an integer
     assert harness.resolve_graph({"kind": "cycle", "size": np.int64(5)}).n == 5
+
+
+@pytest.mark.parametrize("text, key", [
+    ("graph: cycle\n", "'graph' must be a mapping, got 'cycle'"),
+    ("extra: {graphs: [cycle]}\n", r"'extra.graphs\[0\]' must be a mapping, got 'cycle'"),
+    ("weights: uniform\n", "'weights' must be a mapping, got 'uniform'"),
+    ("times: 5\n", "'times' must be a mapping, got 5"),
+    ("extra: {nash_grid: 5}\n", "'extra.nash_grid' must be a mapping, got 5"),
+    ("extra: [1, 2]\n", r"'extra' must be a mapping, got \[1, 2\]"),
+], ids=["graph", "extra.graphs", "weights", "times", "extra.nash_grid", "extra"])
+def test_config_section_that_is_not_a_mapping_names_its_key(tmp_path, text, key):
+    # through the YAML loader and the runner that reads the section
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(text)
+    run = run_cutoff_bin if text.startswith("times") else run_nash
+    with pytest.raises(ValueError, match=f"config key {key}"):
+        run(load_config(cfg_path))
 
 
 @pytest.mark.parametrize("key", ["weights", "graph.conductance"])

@@ -114,8 +114,7 @@ def _events(graph, weights, times, seed, k, replica_id=0):
 
 def _averaging_reference(graph, weights, eta0, times, seed, replica_id=0):
     """The averaging dynamics, layout 4 at k = 0: pool and re-split the
-    values on each event's edge; rescale a record whose mass is off 1 by more
-    than 1e-12."""
+    values on each event's edge."""
     eta = np.array(eta0, dtype=float)
     out = []
     for events in _events(graph, weights, times, seed, 0, replica_id):
@@ -123,9 +122,6 @@ def _averaging_reference(graph, weights, eta0, times, seed, replica_id=0):
             pooled = eta[x] + eta[y]
             eta[x] = p * pooled
             eta[y] = pooled - eta[x]
-        mass = eta.sum()
-        if abs(mass - 1.0) > 1e-12:
-            eta /= mass
         out.append(eta.copy())
     return out
 
@@ -297,7 +293,7 @@ def test_replica_past_the_counter_word_names_its_key():
         SimOptions(record_times=(1.0,), replica_id=-1)
     # the last replica that fits runs, and matches its reference
     last = SimOptions(record_times=(20.0,), seed=1, replica_id=2 ** 62 - 1)
-    states, _ = simulate_averaging_batch(g, w, eta0, last, 1)
+    states = simulate_averaging_batch(g, w, eta0, last, 1)
     assert np.array_equal(states[0], _averaging_reference(g, w, eta0, (20.0,), 1, 2 ** 62 - 1))
 
 
@@ -335,10 +331,10 @@ def test_averaging_batch_rows_are_replicas():
     eta0 = np.array([0.5, 0.5, 0, 0, 0, 0])
     times = (0.0, 0.4, 1.3, 2.0)
     opts = SimOptions(record_times=times, seed=16)
-    batch, drift = simulate_averaging_batch(g, w, eta0, opts, 40)
-    assert batch.shape == (40, len(times), 6) and drift == 0
+    batch = simulate_averaging_batch(g, w, eta0, opts, 40)
+    assert batch.shape == (40, len(times), 6)
     # the first R replicas of a 2R batch equal the R batch, bit for bit
-    half, _ = simulate_averaging_batch(g, w, eta0, opts, 20)
+    half = simulate_averaging_batch(g, w, eta0, opts, 20)
     assert np.array_equal(batch[:20], half)
     # simulate_averaging for replica r equals row r of the batch
     for r in (0, 7, 39):
@@ -346,7 +342,7 @@ def test_averaging_batch_rows_are_replicas():
                                                         seed=16, replica_id=r))
         assert np.array_equal(np.array(one), batch[r])
     # observed values are the observable of the states, row by row
-    norms, _ = simulate_averaging_batch(
+    norms = simulate_averaging_batch(
         g, w, eta0, opts, 40, observe=lambda b: transport_norm(b, w, 1.0))
     assert norms.shape == (40, len(times))
     assert all(norms[r, i] == transport_norm(batch[r, i], w, 1.0)
@@ -361,12 +357,12 @@ def test_averaging_batch_grouping_invariant(monkeypatch):
     w = uniform_weights(5)
     eta0 = np.array([1.0, 0, 0, 0, 0])
     opts = SimOptions(record_times=(0.5, 30.0), seed=17)
-    ref, _ = simulate_averaging_batch(g, w, eta0, opts, 30)
+    ref = simulate_averaging_batch(g, w, eta0, opts, 30)
     observe = lambda b: transport_norm(b, w, 1.0)
-    ref_norms, _ = simulate_averaging_batch(g, w, eta0, opts, 30, observe=observe)
+    ref_norms = simulate_averaging_batch(g, w, eta0, opts, 30, observe=observe)
     for _ in _group_settings(monkeypatch):
-        assert np.array_equal(simulate_averaging_batch(g, w, eta0, opts, 30)[0], ref)
-        assert np.array_equal(simulate_averaging_batch(g, w, eta0, opts, 30, observe=observe)[0],
+        assert np.array_equal(simulate_averaging_batch(g, w, eta0, opts, 30), ref)
+        assert np.array_equal(simulate_averaging_batch(g, w, eta0, opts, 30, observe=observe),
                               ref_norms)
     # chunks: up to 16 uniforms per replica, at least one event, and no more
     # events than C dt rounded up; a slice is whole Philox blocks of 4
@@ -381,36 +377,40 @@ def test_averaging_batch_grouping_invariant(monkeypatch):
     assert simulate._group_shape(1500, 128, 16, 1) == (1, 1)
 
 
-def test_drift_guard_rescales_off_mass_once():
+def test_drift_guard_raises_on_off_mass_state():
+    # nothing rescales a state: mass off 1 by more than DRIFT_TOL at a
+    # record raises, naming the replica, the record time and the defect
     g = cycle_graph(4)
     w = uniform_weights(4)
     times = (0.5, 2.0, 6.0)
     opts = SimOptions(record_times=times, seed=18)
-    for eta0, rescales in ((np.array([1.0 + 1e-11, 0, 0, 0]), 1),
-                           (np.array([1.0, 0, 0, 0]), 0)):
-        for r in range(5):
-            one = SimOptions(record_times=times, seed=18, replica_id=r)
-            states, drift = simulate_averaging_batch(g, w, eta0, one, 1)
-            assert drift == rescales
-            assert abs(states[0, -1].sum() - 1.0) <= 1e-12
-        batch, total = simulate_averaging_batch(g, w, eta0, opts, 25)
-        assert total == 25 * rescales
-        assert np.all(np.abs(batch.sum(axis=2) - 1.0) <= 1e-12)
+    off = np.array([1.0 + 1e-11, 0, 0, 0])
+    for r in range(5):
+        one = SimOptions(record_times=times, seed=18, replica_id=r)
+        with pytest.raises(ValueError, match=rf"replica {r} has mass off 1 by 1\.000e-11 "
+                                             r"at t=0\.5, above DRIFT_TOL = 1e-12"):
+            simulate_averaging_batch(g, w, off, one, 1)
+        states = simulate_averaging_batch(g, w, np.array([1.0, 0, 0, 0]), one, 1)
+        assert abs(states[0, -1].sum() - 1.0) <= 1e-12
+    with pytest.raises(ValueError, match="replica 0 has mass off 1"):
+        simulate_averaging_batch(g, w, off, opts, 25, observe=lambda b: transport_norm(b, w, 1.0))
+    batch = simulate_averaging_batch(g, w, np.array([1.0, 0, 0, 0]), opts, 25)
+    assert np.all(np.abs(batch.sum(axis=2) - 1.0) <= 1e-12)
 
 
 def test_averaging_batch_rows_equal_reference(monkeypatch):
     # every row equals the per-event reference of its replica bit for bit,
-    # for any group budget and observe block, the drift guard included
+    # for any group budget and observe block
     rng = np.random.default_rng(20)
     times = (0.0, 0.3, 1.0, 2.5, 6.0)
     for graph in (path_graph(3), cycle_graph(5), complete_graph(6),
                   complete_graph(6, np.geomspace(1e-6, 1.0, 15))):
         w = site_weights(rng.random(graph.n) + 0.1)
-        for eta0 in (rng.dirichlet(np.ones(graph.n)), np.eye(graph.n)[0] * (1.0 + 1e-11)):
+        for eta0 in (rng.dirichlet(np.ones(graph.n)), np.eye(graph.n)[0]):
             opts = SimOptions(record_times=times, seed=20, replica_id=3)
             ref = [_averaging_reference(graph, w, eta0, times, 20, 3 + r) for r in range(9)]
             for _ in _group_settings(monkeypatch):
-                batch, _ = simulate_averaging_batch(graph, w, eta0, opts, 9)
+                batch = simulate_averaging_batch(graph, w, eta0, opts, 9)
                 assert np.array_equal(batch, np.array(ref))
 
 

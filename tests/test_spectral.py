@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from binsplit.graphs import (WeightedGraph, complete_graph, cycle_graph, path_graph,
                              site_weights, torus_graph, uniform_weights)
-from binsplit import duality, spectral
+from binsplit import distances, duality, spectral
 from binsplit.distances import single_particle_spectrum
 from binsplit.spectral import (StateSpaceCapError, dirichlet_defect_form,
                                dirichlet_form, dirichlet_independent_pair,
@@ -213,11 +214,11 @@ def test_spectral_gap_rejects_nonreversible():
 def test_spectrum_psi_normalized_and_harmonic_zero():
     g = cycle_graph(5)
     w = uniform_weights(5)
-    spec = spectral_gap(generator_single_particle(g, w), w.pi)
+    spec = single_particle_spectrum(g, w)
     assert spec.eigenvalues[0] == 0.0
     assert np.sum(w.pi * spec.psi ** 2) == pytest.approx(1.0, abs=1e-12)
     # deterministic tie-break: re-solving yields the same eigenfunction
-    spec2 = spectral_gap(generator_single_particle(g, w), w.pi)
+    spec2 = single_particle_spectrum(g, w)
     assert np.array_equal(spec.psi, spec2.psi)
 
 
@@ -245,7 +246,6 @@ def test_sparse_eigsh_path_reproducible(monkeypatch):
     first, second = (spectral_gap(Q, mu) for _ in range(2))
     assert first.gap == second.gap
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.psi, second.psi)
 
 
 @pytest.fixture
@@ -289,14 +289,12 @@ def test_spectral_gap_covariant_under_rate_scaling(cutoff, restarts, routes,
     assert ratios == pytest.approx([ratios[0]] * 5, rel=1e-9)
 
 
-def assert_gap_only_leg(Q, mu, spec):
-    """A gap-only solve returns the null eigenvalue, classified as zero, and
-    the gap, which agrees with the eigenfunction solve ``spec``."""
-    gap_only = spectral_gap(Q, mu, eigenfunction=False)
-    assert gap_only.psi is None and not gap_only.full
-    assert gap_only.eigenvalues.size == 2 and gap_only.eigenvalues[0] == 0.0
-    assert gap_only.eigenvalues[1] == gap_only.gap
-    assert abs(gap_only.gap - spec.gap) <= 1e-12 * spec.gap
+def assert_sparse_shape(spec):
+    """A sparse solve returns the null eigenvalue, classified as zero, and
+    the gap."""
+    assert not spec.full
+    assert spec.eigenvalues.size == 2 and spec.eigenvalues[0] == 0.0
+    assert spec.eigenvalues[1] == spec.gap
 
 
 @pytest.mark.parametrize("graph, k", [(torus_graph((3, 3)), 5), (cycle_graph(12), 4)],
@@ -309,9 +307,8 @@ def test_lanczos_route_matches_dense(graph, k, eigsh_calls, monkeypatch):
     Q = generator_splitting(graph, w, k, space)
     mu = multinomial_measure(w, k, space)
     lanczos = spectral_gap(Q, mu)
-    assert eigsh_calls == [False] and not lanczos.full
-    assert_gap_only_leg(Q, mu, lanczos)
-    assert eigsh_calls == [False, False]
+    assert eigsh_calls == [False]
+    assert_sparse_shape(lanczos)
     monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 5000)
     dense = spectral_gap(Q, mu)
     assert dense.full
@@ -325,9 +322,8 @@ def test_shift_invert_fallback_route(eigsh_calls, monkeypatch):
     w = uniform_weights(1024)
     Q = generator_single_particle(g, w)
     spec = spectral_gap(Q, w.pi)
-    assert eigsh_calls == [False, True] and not spec.full
-    assert_gap_only_leg(Q, w.pi, spec)
-    assert eigsh_calls == [False, True] * 2
+    assert eigsh_calls == [False, True]
+    assert_sparse_shape(spec)
     monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 5000)
     dense = spectral_gap(Q, w.pi)
     assert dense.full
@@ -341,13 +337,20 @@ def test_shift_invert_fallback_route(eigsh_calls, monkeypatch):
 ])
 def test_gap_only_solve_matches_full_solve(cutoff, restarts, routes,
                                            eigsh_calls, monkeypatch):
-    # eigenvalues without eigenvectors take other LAPACK and ARPACK paths, so
-    # the gap agrees with the full solve to rounding, on every route, and no
-    # eigenfunction comes back
+    # no route computes an eigenvector, and on every route the eigenvalues
+    # agree to rounding with a full dense eigh that does: all of them on the
+    # dense route, the null one and the gap on the sparse ones
     if restarts is not None:
         # one restart is too few for Lanczos on 56 states, so the fallback runs
         monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", restarts)
     monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", cutoff)
+    eigh_calls, eigh = [], spectral.eigh
+
+    def eigh_spy(*args, **kwargs):
+        eigh_calls.append(kwargs.get("eigvals_only", False))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigh", eigh_spy)
     rng = np.random.default_rng(13)
     edges = [(x, (x + 1) % 6) for x in range(6)] + [(0, 3)]
     g = WeightedGraph(6, tuple((x, y, float(c))
@@ -356,23 +359,21 @@ def test_gap_only_solve_matches_full_solve(cutoff, restarts, routes,
     space = enumerate_configs(6, 3)
     Q = generator_splitting(g, w, 3, space)
     mu = multinomial_measure(w, 3, space)
-    full = spectral_gap(Q, mu)
-    assert eigsh_calls == routes and full.psi is not None
-    eigsh_calls.clear()
-    gap_only = spectral_gap(Q, mu, eigenfunction=False)
-    assert eigsh_calls == routes and gap_only.psi is None
-    assert gap_only.full == full.full == (cutoff > 0)
-    assert abs(gap_only.gap - full.gap) <= 1e-12 * full.gap
-    # the sparse routes return the null eigenvalue and the gap only
-    m = full.eigenvalues.size if cutoff else 2
+    gap_only = spectral_gap(Q, mu)
+    assert eigsh_calls == routes and eigh_calls == [True] * (cutoff > 0)
+    assert gap_only.full == (cutoff > 0)
+    full, _ = scipy.linalg.eigh(spectral._symmetrized(Q, mu).toarray())
+    assert abs(gap_only.gap - full[1]) <= 1e-12 * full[1]
+    m = full.size if cutoff else 2
     assert gap_only.eigenvalues.size == m
-    assert np.allclose(gap_only.eigenvalues, full.eigenvalues[:m],
-                       rtol=0.0, atol=1e-12 * full.eigenvalues[m - 1])
+    assert np.allclose(gap_only.eigenvalues, full[:m], rtol=0.0, atol=1e-12 * full[m - 1])
 
 
 def test_gap_only_fallback_keeps_the_matvec_budget(monkeypatch):
-    # LANCZOS_RESTARTS caps both solves: a gap-only solve that does not
-    # converge spends no more matvecs before the fallback than an 8-value one
+    # LANCZOS_RESTARTS caps the Lanczos solve: one that does not converge
+    # spends ncv (14) matvecs to start and at most 12 per restart, about
+    # 2,420 in all, before the shift-invert fallback takes over; ARPACK's
+    # default cap on this operator would allow 10,240 restarts
     counts, solve = [], spectral.eigsh
 
     def counting(A, **kwargs):
@@ -389,10 +390,9 @@ def test_gap_only_fallback_keeps_the_matvec_budget(monkeypatch):
     monkeypatch.setattr(spectral, "eigsh", counting)
     w = uniform_weights(1024)
     Q = generator_single_particle(cycle_graph(1024), w)
-    full = spectral_gap(Q, w.pi)
-    gap_only = spectral_gap(Q, w.pi, eigenfunction=False)
-    assert gap_only.gap == pytest.approx(full.gap, rel=1e-12)
-    assert len(counts) == 2 and 0 < counts[1] <= counts[0]
+    spec = spectral_gap(Q, w.pi)
+    assert spec.gap == pytest.approx(1.0 - math.cos(2 * math.pi / 1024), rel=1e-9)
+    assert len(counts) == 1 and 0 < counts[0] <= 14 + 12 * (spectral.LANCZOS_RESTARTS + 1)
 
 
 @pytest.mark.parametrize("ritz", [None, (-8.3e-17, 1.6e-16)], ids=["shift-invert", "lanczos"])
@@ -403,7 +403,8 @@ def test_gap_only_solve_rejects_a_null_space_that_is_not_simple(ritz, monkeypatc
     # Ritz values); neither may be reported as the gap.  The reducibility
     # check would reject this chain before any solve, so it is bypassed to
     # reach the null-space check behind it
-    monkeypatch.setattr(spectral, "connected_components", lambda *args, **kwargs: (1, None))
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components",
+                        lambda *args, **kwargs: (1, None))
     monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", 1)
     if ritz is not None:
         monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: np.array(ritz))
@@ -412,18 +413,20 @@ def test_gap_only_solve_rejects_a_null_space_that_is_not_simple(ritz, monkeypatc
     Q = scipy.sparse.block_diag([Q1, Q1]).tocsr()
     mu = np.concatenate([w.pi, w.pi]) / 2
     with pytest.raises(ValueError, match="no positive eigenvalue"):
-        spectral_gap(Q, mu, eigenfunction=False)
+        spectral_gap(Q, mu)
 
 
 def disjoint_pair(Q, mu):
     return scipy.sparse.block_diag([Q, Q]).tocsr(), np.concatenate([mu, mu]) / 2
 
 
-@pytest.mark.parametrize("eigenfunction", [True, False])
+@pytest.mark.parametrize("tiny_rates", [True, False])
 @pytest.mark.parametrize("route", ["dense", "lanczos"])
-def test_spectral_gap_rejects_a_reducible_chain(route, eigenfunction):
+def test_spectral_gap_rejects_a_reducible_chain(route, tiny_rates):
     # two disjoint copies: 12 states solve densely, 2 x 1,287 by Lanczos; on
-    # both routes the solvers alone returned one component's gap (0.5, 1.5)
+    # both routes the solvers alone returned one component's gap (0.5, 1.5).
+    # The dense route counts null eigenvalues, the Lanczos route components;
+    # either count holds when every rate is 1e-30 times smaller
     if route == "dense":
         w = uniform_weights(6)
         Q, mu = disjoint_pair(generator_single_particle(cycle_graph(6), w), w.pi)
@@ -433,24 +436,31 @@ def test_spectral_gap_rejects_a_reducible_chain(route, eigenfunction):
         Q, mu = disjoint_pair(generator_splitting(g, w, 5, space),
                               multinomial_measure(w, 5, space))
     assert (Q.shape[0] <= spectral.DENSE_EIG_CUTOFF) == (route == "dense")
+    if tiny_rates:
+        Q = Q * 1e-30
     with pytest.raises(ValueError, match="reducible: 2 strongly connected components"):
-        spectral_gap(Q, mu, eigenfunction=eigenfunction)
+        spectral_gap(Q, mu)
 
 
 @pytest.mark.parametrize("graph", [cycle_graph(8), torus_graph((6, 6))],
                          ids=["cycle8", "torus6x6"])
 def test_single_particle_spectrum_is_the_full_dense_eigh(graph):
     # t_rel, and every record time taken from it, must not move in its last
-    # bits, so the single-particle spectrum keeps eigh with eigenvectors
+    # bits: the gap, t_rel, psi and the heat profile all come from one eigh
+    # with eigenvectors
     w = uniform_weights(graph.n)
     spec = single_particle_spectrum(graph, w)
     lam, U = scipy.linalg.eigh(
         spectral._symmetrized(generator_single_particle(graph, w), w.pi).toarray())
     assert spec.eigenvalues[0] == 0.0
     assert np.array_equal(spec.eigenvalues[1:], lam[1:])
+    assert spec.gap == lam[1] and spec.t_rel == 1.0 / lam[1]
     in_gap = np.abs(lam - lam[1]) <= 1e-9 * lam[-1]
-    psi = spectral._tie_break_eigenfunction(U[:, in_gap], np.sqrt(w.pi), w.pi)
+    psi = distances._tie_break_eigenfunction(U[:, in_gap], np.sqrt(w.pi), w.pi)
     assert np.array_equal(spec.psi, psi)
+    ts = np.geomspace(0.01, 10.0, 7) * spec.t_rel
+    heat = ((U ** 2 / w.pi[:, None]) @ np.exp(-np.outer(lam, ts))).max(axis=0)
+    assert np.array_equal(spec.heat_profile(ts), heat)
 
 
 # ---------------------------------------------------------------------------
