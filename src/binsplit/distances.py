@@ -67,14 +67,17 @@ __all__ = [
 ]
 
 
-def evolved_density(graph: WeightedGraph, weights: SiteWeights, eta, t: float,
+def evolved_density(graph: WeightedGraph, weights: SiteWeights, eta, t,
                     tol: float = 1e-11) -> np.ndarray:
     """The mass profile's density eta/pi evolved by the single-particle
     semigroup; the deterministic part of the averaging dynamics.  At the
-    Dirac mass on x it is the heat kernel h_t^x(y) = p_t(x, y) / pi(y)."""
-    Q = generator_single_particle(graph, weights)
+    Dirac mass on x it is the heat kernel h_t^x(y) = p_t(x, y) / pi(y).
+    ``t`` is one time, giving a density, or ascending times, giving one row
+    each, all summed from one sequence of powers of the uniformized chain."""
+    semigroup = _Uniformization(generator_single_particle(graph, weights))
     u = np.asarray(eta, float) / weights.pi
-    return evolve_observable(Q, u, t, tol)
+    rows = semigroup.evolve(u, np.atleast_1d(t), tol, measure=False)
+    return rows[0] if np.ndim(t) == 0 else rows
 
 
 @dataclass(frozen=True)

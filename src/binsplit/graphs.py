@@ -19,14 +19,14 @@ Vertex indexing conventions of the builders:
 reflection, the cycle's rotation and reflection, a unit shift and a reflection
 per torus axis, and the transposition (0 1) and n-cycle of the complete graph.
 
-Every builder emits its edges as integer arrays, and a graph keeps them once,
-as the arrays ``edge_x`` < ``edge_y`` and ``edge_c``.  Their order is part of
-the Monte Carlo layout (the cumulative conductances pick each mark's edge)
-and fixes the order in which the generators sum their diagonals.
+Every builder passes its integer pairs and ``conductance`` straight in, and
+a graph keeps them once, as the arrays ``edge_x`` < ``edge_y`` and ``edge_c``.
+Their order is part of the Monte Carlo layout (the cumulative conductances
+pick each mark's edge) and fixes the order the generators sum diagonals in.
 
 Both lattices take their bonds from one enumerator of "+1 neighbour along
-each axis" pairs, and connectivity (of any graph, and of the percolation
-clusters) comes from one component labeling, by lowest vertex.
+each axis" pairs.  One component labeling, by lowest vertex, serves graphs,
+percolation clusters, symmetry orbits and ``spectral_gap``'s reducibility.
 """
 
 from __future__ import annotations
@@ -61,21 +61,21 @@ class PercolationRetry(ValueError):
     """Open cluster too small to be usable; retry with another seed."""
 
 
-def _cluster_roots(n: int, pairs) -> np.ndarray:
+def _cluster_roots(n: int, x, y) -> np.ndarray:
     """Lowest vertex of the component of every vertex 0..n-1 under the bonds
-    ``pairs`` ((m, 2) integers).  Each round hooks every root onto a lower
-    root it is bonded to, then pointer jumping flattens the forest, until
-    every bond joins two equal labels; labels only decrease, so each
-    component ends labeled by its lowest vertex."""
+    (x[i], y[i]).  Each round hooks every root onto a lower root it is bonded
+    to, then pointer jumping flattens the forest, until every bond joins two
+    equal labels; labels only decrease, so each component ends labeled by its
+    lowest vertex."""
     label = np.arange(n)
-    bonds = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     while True:
-        ends = label[bonds]
-        split = ends[:, 0] != ends[:, 1]
+        lx, ly = label[x], label[y]
+        split = lx != ly
         if not split.any():
             return label
-        bonds, ends = bonds[split], ends[split]
-        label[ends.max(axis=1)] = ends.min(axis=1)
+        if not split.all():  # a round that splits every bond copies none
+            x, y, lx, ly = x[split], y[split], lx[split], ly[split]
+        label[np.maximum(lx, ly)] = np.minimum(lx, ly)
         while not np.array_equal(label[label], label):
             label = label[label]
 
@@ -95,9 +95,10 @@ def _lattice_bonds(dims, wrap: bool) -> np.ndarray:
 class WeightedGraph:
     """Undirected connected graph with positive edge conductances.
 
-    Takes (x, y, c_xy) triples, (m, 3) array-like, with integer endpoints.
-    Keeps them once, as arrays in input order: ``edge_x`` < ``edge_y``
-    (int64) and ``edge_c``; ``edges`` is a tuple view built on each access.
+    Takes integer endpoints ``pairs`` ((m, 2) array-like) and one
+    ``conductance`` for all edges or m of them.  Keeps them once, as arrays
+    in input order: ``edge_x`` < ``edge_y`` (int64) and ``edge_c``;
+    ``edges``, the (x, y, c_xy) triples, is built on each access.
     Instances are immutable (identity-hashed, so they can key per-graph
     caches).  ``symmetries`` holds vertex permutations, unverified until
     :func:`vertex_orbits` checks them.
@@ -109,21 +110,31 @@ class WeightedGraph:
     edge_c: np.ndarray = field(repr=False)
     symmetries: tuple = field(repr=False)
 
-    def __init__(self, n: int, edges, symmetries: tuple = ()):
+    def __init__(self, n: int, pairs, conductance=1.0, symmetries: tuple = ()):
+        ends = np.asarray(pairs).reshape(len(pairs), 2)
+        c = np.array(conductance, dtype=float)
+        if c.ndim == 0 and not c > 0:
+            raise ValueError("conductance must be positive")
+        if c.ndim and c.shape != (len(ends),):
+            raise ValueError(f"need {len(ends)} conductances, got {c.size}")
+        c = np.broadcast_to(c, len(ends)).copy()
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        e = np.array(edges, dtype=float).reshape(len(edges), 3)
-        ends, c = e[:, :2], e[:, 2].copy()
-        whole = np.all(np.isfinite(ends) & (ends == np.round(ends)), axis=1)
+        whole = np.ones(len(ends), dtype=bool)
+        if ends.dtype.kind not in "iu":
+            ends = ends.astype(float)
+            whole = np.all(np.isfinite(ends) & (ends == np.round(ends)), axis=1)
         out = whole & np.any((ends < 0) | (ends >= n), axis=1)
-        x, y = np.where((whole & ~out)[:, None], ends, 0).astype(np.int64).T
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        valid = whole & ~out  # endpoints that index a vertex; the rest read as 0
+        lo = np.where(valid, ends.min(axis=1), 0).astype(np.int64, copy=False)
+        hi = np.where(valid, ends.max(axis=1), 0).astype(np.int64, copy=False)
         keys = lo * n + hi
         order = np.argsort(keys, kind="stable")
-        dup = np.zeros(len(e), dtype=bool)  # True after a key's first occurrence
-        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        dup = np.zeros(len(ends), dtype=bool)  # True after a key's first occurrence
+        dup[order[1:]] = np.diff(keys[order]) == 0
+        del keys, order  # the component labeling below sets the peak memory
         bad_c = ~((c > 0.0) & np.isfinite(c))
-        bad = np.flatnonzero(~whole | out | (x == y) | bad_c | dup)
+        bad = np.flatnonzero(~valid | (lo == hi) | bad_c | dup)
         if bad.size:
             # the first offending edge in input order, its checks in this order
             i = bad[0]
@@ -137,7 +148,7 @@ class WeightedGraph:
             if bad_c[i]:
                 raise ValueError(f"conductance on edge ({xi},{yi}) must be positive, got {float(c[i])}")
             raise ValueError(f"duplicate undirected edge {(int(lo[i]), int(hi[i]))}")
-        roots = _cluster_roots(n, np.stack([lo, hi], axis=1))
+        roots = _cluster_roots(n, lo, hi)
         if np.any(roots != roots[0]):
             raise ValueError("graph is not connected")
         self.__dict__.update(n=n, edge_x=lo, edge_y=hi, edge_c=c, symmetries=symmetries)
@@ -192,26 +203,11 @@ def site_weights(values) -> SiteWeights:
     return SiteWeights(v / v.sum())
 
 
-def _apply_conductance(pairs, conductance) -> np.ndarray:
-    """(m, 3) float array of the (x, y, c) triples of the m bonds ``pairs``."""
-    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    if np.isscalar(conductance):
-        c = float(conductance)
-        if not c > 0:
-            raise ValueError("conductance must be positive")
-        return np.column_stack([pairs, np.full(len(pairs), c)])
-    cs = [float(c) for c in conductance]
-    if len(cs) != len(pairs):
-        raise ValueError(f"need {len(pairs)} conductances, got {len(cs)}")
-    return np.column_stack([pairs, cs])
-
-
 def path_graph(size: int, conductance=1.0) -> WeightedGraph:
     if size < 1:
         raise ValueError("path size must be >= 1")
     v = np.arange(size)
-    return WeightedGraph(size, _apply_conductance(np.stack([v[:-1], v[1:]], axis=1), conductance),
-                         (v[::-1],))
+    return WeightedGraph(size, np.stack([v[:-1], v[1:]], axis=1), conductance, (v[::-1],))
 
 
 def cycle_graph(size: int, conductance=1.0) -> WeightedGraph:
@@ -220,8 +216,7 @@ def cycle_graph(size: int, conductance=1.0) -> WeightedGraph:
     v = np.arange(size)
     # (i, i+1 mod size); at size 2 the wrap-around duplicates the single edge
     pairs = np.stack([v, (v + 1) % size], axis=1)[:size if size > 2 else 1]
-    return WeightedGraph(size, _apply_conductance(pairs, conductance),
-                         ((v + 1) % size, -v % size))
+    return WeightedGraph(size, pairs, conductance, ((v + 1) % size, -v % size))
 
 
 def torus_graph(dims, conductance=1.0) -> WeightedGraph:
@@ -237,7 +232,7 @@ def torus_graph(dims, conductance=1.0) -> WeightedGraph:
     idx = np.arange(int(np.prod(dims))).reshape(dims)
     moves = tuple(m.ravel() for ax in range(len(dims))
                   for m in (np.roll(idx, -1, axis=ax), np.flip(idx, axis=ax)))
-    return WeightedGraph(idx.size, _apply_conductance(pairs, conductance), moves)
+    return WeightedGraph(idx.size, pairs, conductance, moves)
 
 
 def complete_graph(size: int, conductance=1.0) -> WeightedGraph:
@@ -245,8 +240,7 @@ def complete_graph(size: int, conductance=1.0) -> WeightedGraph:
         raise ValueError("complete graph size must be >= 2")
     pairs = np.stack(np.triu_indices(size, 1), axis=1)
     v = np.arange(size)
-    return WeightedGraph(size, _apply_conductance(pairs, conductance),
-                         (np.r_[1, 0, v[2:]], (v + 1) % size))
+    return WeightedGraph(size, pairs, conductance, (np.r_[1, 0, v[2:]], (v + 1) % size))
 
 
 def sierpinski_graph(level: int, conductance=1.0) -> WeightedGraph:
@@ -271,7 +265,7 @@ def sierpinski_graph(level: int, conductance=1.0) -> WeightedGraph:
     points, index = np.unique(np.stack([top, left, top, right, left, right], axis=1),
                               return_inverse=True)
     pairs = np.unique(index.reshape(-1, 2), axis=0)
-    return WeightedGraph(points.size, _apply_conductance(pairs, conductance))
+    return WeightedGraph(points.size, pairs, conductance)
 
 
 def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> WeightedGraph:
@@ -292,7 +286,7 @@ def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> We
     bonds = _lattice_bonds(dims, wrap=False)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     open_bonds = bonds[rng.random(len(bonds)) < p_open]
-    roots = _cluster_roots(n, open_bonds)
+    roots = _cluster_roots(n, *open_bonds.T)
     # argmax finds the lowest vertex of any largest cluster, so ties go to the
     # cluster whose smallest vertex is lowest
     root = roots[np.argmax(np.bincount(roots, minlength=n)[roots])]
@@ -307,7 +301,7 @@ def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> We
             "increase p_open or retry with another seed"
         )
     inner = np.searchsorted(cluster, open_bonds[roots[open_bonds[:, 0]] == root])
-    return WeightedGraph(len(cluster), _apply_conductance(np.unique(inner, axis=0), conductance))
+    return WeightedGraph(len(cluster), np.unique(inner, axis=0), conductance)
 
 
 def custom_graph(edge_list, n: int | None = None, conductance=None) -> WeightedGraph:
@@ -321,9 +315,7 @@ def custom_graph(edge_list, n: int | None = None, conductance=None) -> WeightedG
     ends = triples[:, :2]
     if n is None:  # WeightedGraph rejects a non-integer or NaN endpoint
         n = 1 + int(ends[np.isfinite(ends)].max(initial=0))
-    if conductance is not None:
-        triples = _apply_conductance(ends, conductance)
-    return WeightedGraph(n, triples)
+    return WeightedGraph(n, ends, triples[:, 2] if conductance is None else conductance)
 
 
 def build_graph(kind: str, *, size=None, dims=None, level=None, p_open=None,
@@ -360,15 +352,16 @@ def vertex_orbits(graph: WeightedGraph, weights: SiteWeights) -> np.ndarray:
     n = graph.n
     keys = graph.edge_x * n + graph.edge_y
     order = np.argsort(keys)
-    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    images = [np.zeros(0, dtype=np.int64)]
     for s in map(np.asarray, graph.symmetries):
         sx, sy = s[graph.edge_x], s[graph.edge_y]
         image = np.minimum(sx, sy) * n + np.maximum(sx, sy)
         moved = np.argsort(image)
         if (np.array_equal(weights.pi[s], weights.pi) and np.array_equal(image[moved], keys[order])
                 and np.array_equal(graph.edge_c[moved], graph.edge_c[order])):
-            pairs.append(np.stack([np.arange(n), s], axis=1))
-    return _cluster_roots(n, np.concatenate(pairs))
+            images.append(s)
+    moved = np.concatenate(images)  # vertex i % n is bonded to its image moved[i]
+    return _cluster_roots(n, np.arange(moved.size) % n, moved)
 
 
 def load_edge_list(path) -> list:

@@ -553,8 +553,7 @@ def run_avg_profile(config: ExperimentConfig):
                                          "wasserstein"))
             records.append(ProfileRecord("avg_profile", k, t, t / t_rel,
                                          scale * m, scale * s, "wasserstein_scaled"))
-        for t in times:
-            h = distances.evolved_density(graph, weights, eta0, t)
+        for t, h in zip(times, distances.evolved_density(graph, weights, eta0, times)):
             lower = float(np.sum(weights.pi * np.abs(h - 1.0) ** p) ** (1.0 / p))
             records.append(ProfileRecord("avg_profile", k, t, t / t_rel, lower,
                                          0.0, "lower"))
@@ -615,8 +614,8 @@ def run_nash(config: ExperimentConfig):
     records = []
     for label, graph, weights in _graphs(config):
         spec = distances.single_particle_spectrum(graph, weights)
-        grid_spec = config.extra.get("nash_grid")
-        grid = resolve_time_grid(grid_spec, spec.t_rel, key="extra.nash_grid") if grid_spec else None
+        grid = (resolve_time_grid(config.extra["nash_grid"], spec.t_rel, key="extra.nash_grid")
+                if "nash_grid" in config.extra else None)
         grid, prof, diag = distances._nash_diagnosis(spec, grid)
         for t, h in zip(grid, prof):
             records.append(ProfileRecord("nash", 1, float(t), float(t / spec.t_rel),

@@ -40,7 +40,7 @@ from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
-from .graphs import SiteWeights, WeightedGraph
+from .graphs import SiteWeights, WeightedGraph, _cluster_roots
 
 DEFAULT_STATE_CAP = 2_000_000
 DEFAULT_TRANSIENT_CAP = 200_000
@@ -364,16 +364,16 @@ def _symmetrized(Q, mu: np.ndarray) -> sp.csr_matrix:
 
 
 def _gap_spectrum(evals: np.ndarray, dim: int, full: bool) -> Spectrum:
-    """The :class:`Spectrum` of ascending eigenvalues of -Q; those within
-    1e-12 dim times the largest of 0 are null, and the smallest must be."""
-    zero_tol = 1e-12 * (float(evals[-1]) if evals.size else 0.0) * dim
-    positive = evals[evals > zero_tol]
-    if positive.size == 0 or abs(evals[0]) > zero_tol:
-        raise ValueError("no positive eigenvalue found; is the chain connected?")
-    gap = float(positive[0])
-    clean = np.maximum(evals, 0.0)
-    clean[np.abs(evals) <= zero_tol] = 0.0
-    return Spectrum(eigenvalues=clean, gap=gap, t_rel=1.0 / gap, full=full)
+    """The :class:`Spectrum` of ascending eigenvalues of -Q: the smallest
+    must be null, within 1e-12 dim times the largest, and the second, the
+    gap, above it; a gap within it raises, naming the tolerance."""
+    zero_tol = 1e-12 * float(evals[-1]) * dim
+    low = evals[:2]
+    if low.size < 2 or abs(low[0]) > zero_tol or low[1] <= zero_tol:
+        raise ValueError(f"no positive eigenvalue above the null tolerance {zero_tol:.3e}: "
+                         f"the smallest eigenvalues are {', '.join(f'{v:.3e}' for v in low)}")
+    gap = float(low[1])
+    return Spectrum(eigenvalues=np.r_[0.0, evals[1:]], gap=gap, t_rel=1.0 / gap, full=full)
 
 
 def spectral_gap(Q, mu: np.ndarray) -> Spectrum:
@@ -387,11 +387,10 @@ def spectral_gap(Q, mu: np.ndarray) -> Spectrum:
     only if Lanczos does not converge (long 1-D chains).  The sparse routes
     solve the operator over max|Q|, so ARPACK's absolute floor sits at unit
     scale.  Raises on a detailed-balance residual above ``REVERSIBILITY_TOL``
-    max|Q| and on a reducible chain, naming its number of components: the
-    dense route counts null eigenvalues, one per component, and the sparse
-    routes count the components of Q's pattern before the solve.  Null means
-    zero against the largest computed eigenvalue (the gap on the sparse
-    routes, where a second null value raises), so rescaling all rates
+    max|Q|, on a reducible chain, naming its components (the one labeling of
+    ``graphs`` on Q's off-diagonal pattern, on every route, before the solve),
+    and on a gap within the null tolerance, relative to the largest computed
+    eigenvalue (the gap on the sparse routes), so rescaling all rates
     rescales the gap.
     """
     mu = np.asarray(mu, dtype=float)
@@ -401,17 +400,17 @@ def spectral_gap(Q, mu: np.ndarray) -> Spectrum:
     if res > REVERSIBILITY_TOL * scale:
         raise ValueError(f"rate matrix is not reversible w.r.t. mu: "
                          f"max detailed-balance residual {res:.3e}")
-    A = _symmetrized(Q, mu)
-    if dim <= DENSE_EIG_CUTOFF:
-        spec = _gap_spectrum(eigh(A.toarray(), eigvals_only=True), dim, full=True)
-        parts = int(np.count_nonzero(spec.eigenvalues == 0.0))
-    else:
-        from scipy.sparse.csgraph import connected_components
-        parts = connected_components(sp.csr_matrix(Q), directed=True, connection="strong")[0]
+    # reversible against a positive mu, Q's off-diagonal pattern is
+    # symmetric: the components of its upper triangle are the strongly
+    # connected ones
+    rates = sp.coo_matrix(Q)
+    jump = (rates.row < rates.col) & (rates.data != 0.0)
+    parts = np.unique(_cluster_roots(dim, rates.row[jump], rates.col[jump])).size
     if parts > 1:
         raise ValueError(f"rate matrix is reducible: {parts} strongly connected components")
+    A = _symmetrized(Q, mu)
     if dim <= DENSE_EIG_CUTOFF:
-        return spec
+        return _gap_spectrum(eigh(A.toarray(), eigvals_only=True), dim, full=True)
     A = A / scale
     kk, ncv = min(2, dim - 1), min(14, dim)
     # a fixed start vector keeps the result bit-reproducible; it must not be

@@ -55,6 +55,21 @@ def test_evolved_density_matches_heat_kernel_on_dirac():
     assert np.max(np.abs(h_eta - law / w.pi)) <= 1e-10
 
 
+@pytest.mark.parametrize("graph", [cycle_graph(128), torus_graph((16, 16))],
+                         ids=["cycle128", "torus16x16"])
+def test_evolved_density_on_a_time_grid_equals_each_time_alone(graph):
+    # one sequence of powers for the whole grid gives every time's density
+    # bit for bit as a separate evolution to that time would
+    w = site_weights(np.linspace(1.0, 2.0, graph.n))
+    eta = np.linspace(2.0, 0.5, graph.n) / np.linspace(2.0, 0.5, graph.n).sum()
+    t_rel = single_particle_spectrum(graph, w).t_rel
+    times = list(np.linspace(1.0, 6.0, 11) * t_rel)
+    rows = evolved_density(graph, w, eta, times)
+    assert rows.shape == (11, graph.n)
+    for t, row in zip(times, rows):
+        assert np.array_equal(row, evolved_density(graph, w, eta, t))
+
+
 def test_chi2_examples_and_enumeration_oracle():
     w2 = uniform_weights(2)
     eta = np.array([1.0, 0.0])

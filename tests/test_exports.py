@@ -44,14 +44,18 @@ def test_monte_carlo_modules_load_without_scipy(tmp_path):
     assert (tmp_path / "out" / "cdsz.csv").exists()
 
 
-def test_dense_spectral_gap_loads_no_csgraph():
-    # the dense route counts components by its null eigenvalues, so only a
-    # sparse solve imports scipy.sparse.csgraph
+def test_spectral_gap_loads_no_csgraph():
+    # one component labeling checks reducibility on every route, so neither
+    # a dense solve nor a Lanczos solve (cycle12 at k = 5, 4,368 states)
+    # imports scipy.sparse.csgraph
     src = os.path.dirname(os.path.dirname(binsplit.__file__))
     code = ("import sys, binsplit.spectral as s, binsplit.graphs as g; "
             "w = g.uniform_weights(6); "
-            "print(s.spectral_gap(s.generator_single_particle(g.cycle_graph(6), w), w.pi).full, "
+            "print(s.spectral_gap(s.generator_single_particle(g.cycle_graph(6), w), w.pi).full); "
+            "w = g.uniform_weights(12); space = s.enumerate_configs(12, 5); "
+            "Q = s.generator_splitting(g.cycle_graph(12), w, 5, space); "
+            "print(s.spectral_gap(Q, s.multinomial_measure(w, 5, space)).full, "
             "'scipy.sparse.csgraph' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["True", "False"]
+    assert out.stdout.split() == ["True", "False", "False"]

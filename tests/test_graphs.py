@@ -62,34 +62,37 @@ def test_uniform_weights_examples():
 
 def test_invalid_graphs_rejected():
     with pytest.raises(ValueError, match="self-loop"):
-        WeightedGraph(3, ((0, 0, 1.0),))
+        WeightedGraph(3, ((0, 0),))
     with pytest.raises(ValueError, match="duplicate"):
-        WeightedGraph(3, ((0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0)))
+        WeightedGraph(3, ((0, 1), (1, 0), (1, 2)), (1.0, 2.0, 1.0))
     with pytest.raises(ValueError, match="positive"):
-        WeightedGraph(2, ((0, 1, 0.0),))
+        WeightedGraph(2, ((0, 1),), [0.0])
     with pytest.raises(ValueError, match="not connected"):
-        WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+        WeightedGraph(4, ((0, 1), (2, 3)))
     with pytest.raises(ValueError, match="not connected"):
-        WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
+        WeightedGraph(4, ((0, 1), (1, 2), (0, 2)))
     # the first offending edge in input order is named, its checks in the
     # order range, self-loop, conductance, duplicate
-    for n, edges, message in (
-            (3, ((0, 1, 1.0), (0, 5, 1.0), (1, 1, 1.0)), "edge (0,5) out of range for n=3"),
-            (3, ((0, 1, 1.0), (-1, -1, 0.0)), "edge (-1,-1) out of range for n=3"),
-            (3, ((0, 1, 1.0), (1, 1, -1.0), (1, 0, 1.0)), "self-loop at vertex 1"),
-            (3, ((0, 1, 1.0), (2, 1, math.nan), (1, 0, 1.0)),
+    for n, pairs, c, message in (
+            (3, ((0, 1), (0, 5), (1, 1)), 1.0, "edge (0,5) out of range for n=3"),
+            (3, ((0, 1), (-1, -1)), (1.0, 0.0), "edge (-1,-1) out of range for n=3"),
+            (3, ((0, 1), (1, 1), (1, 0)), (1.0, -1.0, 1.0), "self-loop at vertex 1"),
+            (3, ((0, 1), (2, 1), (1, 0)), (1.0, math.nan, 1.0),
              "conductance on edge (2,1) must be positive, got nan"),
-            (3, ((0, 1, 1.0), (2, 1, math.inf)), "conductance on edge (2,1) must be positive, got inf"),
-            (3, ((0, 1, 1.0), (1, 2, 1.0), (2, 1, 2.0), (2, 2, 1.0)), "duplicate undirected edge (1, 2)")):
+            (3, ((0, 1), (2, 1)), (1.0, math.inf), "conductance on edge (2,1) must be positive, got inf"),
+            (3, ((0, 1), (1, 2), (2, 1), (2, 2)), (1.0, 1.0, 2.0, 1.0), "duplicate undirected edge (1, 2)"),
+            # one conductance for every edge is checked before any edge
+            (3, ((0, 5), (1, 1)), -1.0, "conductance must be positive"),
+            (3, ((0, 1), (1, 2)), (1.0,), "need 2 conductances, got 1")):
         with pytest.raises(ValueError) as err:
-            WeightedGraph(n, edges)
+            WeightedGraph(n, pairs, c)
         assert str(err.value) == message
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: WeightedGraph(3, [(0, 1.5, 1.0), (1, 2, 1.0)]), "edge (0,1.5)"),
+    (lambda: WeightedGraph(3, [(0, 1.5), (1, 2)]), "edge (0,1.5)"),
     (lambda: custom_graph([(0, 1.7), (1, 2)]), "edge (0,1.7)"),
-    (lambda: WeightedGraph(3, [(0, math.nan, 1.0), (1, 2, 1.0)]), "edge (0,nan)"),
+    (lambda: WeightedGraph(3, [(0, math.nan), (1, 2)]), "edge (0,nan)"),
 ], ids=["fraction", "custom-fraction", "nan"])
 def test_non_integer_endpoint_rejected(build, message):
     # once truncated to edge (0, 1), or cast to int64 with a RuntimeWarning
@@ -117,7 +120,7 @@ def test_cluster_roots_label_components_by_lowest_vertex():
             parent[find(x)] = find(y)
         comp = [find(v) for v in range(n)]
         lowest = [comp.index(comp[v]) for v in range(n)]
-        assert _cluster_roots(n, bonds).tolist() == lowest
+        assert _cluster_roots(n, bonds[:, 0], bonds[:, 1]).tolist() == lowest
 
 
 def test_invalid_weights_rejected():
@@ -144,7 +147,7 @@ def test_builders_connected_and_positive():
     for g in suite:
         assert np.all(g.edge_c > 0)
         # constructor enforces connectivity; re-check the public invariant
-        assert WeightedGraph(g.n, g.edges).n == g.n
+        assert WeightedGraph(g.n, np.stack([g.edge_x, g.edge_y], axis=1), g.edge_c).n == g.n
 
 
 def test_sierpinski_counts_and_cap():
@@ -335,6 +338,19 @@ def test_graph_keeps_only_its_edge_arrays():
     assert held <= 1.25 * arrays
     assert g.edges == tuple((x, y, 1.0) for x in range(256) for y in range(x + 1, 256))
     assert g.n_edges == 32640
+
+
+def test_complete_graph_peaks_within_four_times_its_edge_arrays():
+    # the builder's integer pairs go straight into the graph, with no float
+    # (m, 3) triple array or copy of it, so building 2.1M edges peaks within
+    # 4x the 48 MiB of arrays kept
+    tracemalloc.start()
+    try:
+        g = complete_graph(2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (g.edge_x.nbytes + g.edge_y.nbytes + g.edge_c.nbytes)
 
 
 def test_torus_edges_match_reference_loop():

@@ -177,12 +177,17 @@ def test_replicas_and_p_norm_name_their_key(run, key, value, bound, monkeypatch)
     ({"mode": "absolute", "values": [1.0]}, {"kind": "file"},
      "'weights.path' must be a file path, got None"),
     (5, None, "'times' must be a mapping, got 5"),
+    # an empty Nash grid is an error, not the 48-point default grid
+    (None, None, "'extra.nash_grid.values' is required in mode 'absolute'"),
 ])
 def test_bad_time_grid_or_weights_file_names_its_key(times, weights, message):
     cfg = ExperimentConfig(graph={"kind": "cycle", "size": 4}, k=[2], times=times,
                            weights=weights or {"kind": "uniform"})
+    run = run_cutoff_bin
+    if times is None:  # no cutoff grid: the case is the Nash runner's
+        cfg, run = ExperimentConfig(extra={"nash_grid": {}}), run_nash
     with pytest.raises(ValueError, match=message):
-        run_cutoff_bin(cfg)
+        run(cfg)
 
 
 @pytest.mark.parametrize("times, message", [

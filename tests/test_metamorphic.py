@@ -46,8 +46,7 @@ def instances(draw, min_n=4):
 
 def _graph(n, edges, c, perm=None, scale=1.0):
     perm = np.arange(n) if perm is None else perm
-    return WeightedGraph(n, tuple((int(perm[x]), int(perm[y]), s)
-                                  for (x, y), s in zip(edges, scale * c)))
+    return WeightedGraph(n, perm[np.asarray(edges)], scale * c)
 
 
 def _results(graph, weights, xi0, eta, times):
@@ -202,10 +201,10 @@ def test_breaking_a_symmetry_brings_back_every_start(graph, _, broken):
     if broken == "weights":
         w = site_weights(np.arange(1.0, n + 1))
     else:
-        edges = list(graph.edges)
-        i = 1 if graph.n_edges == n * (n - 1) // 2 else 0
-        edges[i] = edges[i][:2] + (7.0,)
-        graph = WeightedGraph(n, tuple(edges), graph.symmetries)
+        c = graph.edge_c.copy()
+        c[1 if graph.n_edges == n * (n - 1) // 2 else 0] = 7.0
+        graph = WeightedGraph(n, np.stack([graph.edge_x, graph.edge_y], axis=1), c,
+                              graph.symmetries)
     assert np.array_equal(vertex_orbits(graph, w), np.arange(n))
     assert harness._worst_dirac_starts(graph, w, seed=0) == list(range(n))
 

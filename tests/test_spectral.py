@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from binsplit.graphs import (WeightedGraph, complete_graph, cycle_graph, path_graph,
@@ -280,7 +279,7 @@ def test_spectral_gap_covariant_under_rate_scaling(cutoff, restarts, routes,
     w = uniform_weights(64)
     ratios = []
     for c in (1.0, 1e-6, 1e-9, 1e-11, 1e-30):
-        g = WeightedGraph(64, tuple((i, i + 1, c) for i in range(63)))
+        g = WeightedGraph(64, [(i, i + 1) for i in range(63)], c)
         eigsh_calls.clear()
         ratios.append(spectral_gap(generator_single_particle(g, w), w.pi).gap / c)
         assert eigsh_calls == routes
@@ -353,8 +352,7 @@ def test_gap_only_solve_matches_full_solve(cutoff, restarts, routes,
     monkeypatch.setattr(spectral, "eigh", eigh_spy)
     rng = np.random.default_rng(13)
     edges = [(x, (x + 1) % 6) for x in range(6)] + [(0, 3)]
-    g = WeightedGraph(6, tuple((x, y, float(c))
-                               for (x, y), c in zip(edges, rng.uniform(0.3, 3.0, 7))))
+    g = WeightedGraph(6, edges, rng.uniform(0.3, 3.0, 7))
     w = random_elliptic_weights(6, rng)
     space = enumerate_configs(6, 3)
     Q = generator_splitting(g, w, 3, space)
@@ -403,8 +401,7 @@ def test_gap_only_solve_rejects_a_null_space_that_is_not_simple(ritz, monkeypatc
     # Ritz values); neither may be reported as the gap.  The reducibility
     # check would reject this chain before any solve, so it is bypassed to
     # reach the null-space check behind it
-    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components",
-                        lambda *args, **kwargs: (1, None))
+    monkeypatch.setattr(spectral, "_cluster_roots", lambda n, x, y: np.zeros(n, dtype=np.int64))
     monkeypatch.setattr(spectral, "LANCZOS_RESTARTS", 1)
     if ritz is not None:
         monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: np.array(ritz))
@@ -425,8 +422,8 @@ def disjoint_pair(Q, mu):
 def test_spectral_gap_rejects_a_reducible_chain(route, tiny_rates):
     # two disjoint copies: 12 states solve densely, 2 x 1,287 by Lanczos; on
     # both routes the solvers alone returned one component's gap (0.5, 1.5).
-    # The dense route counts null eigenvalues, the Lanczos route components;
-    # either count holds when every rate is 1e-30 times smaller
+    # Both routes count the components of Q's pattern, which holds when
+    # every rate is 1e-30 times smaller
     if route == "dense":
         w = uniform_weights(6)
         Q, mu = disjoint_pair(generator_single_particle(cycle_graph(6), w), w.pi)
@@ -440,6 +437,21 @@ def test_spectral_gap_rejects_a_reducible_chain(route, tiny_rates):
         Q = Q * 1e-30
     with pytest.raises(ValueError, match="reducible: 2 strongly connected components"):
         spectral_gap(Q, mu)
+
+
+def test_a_gap_below_the_null_tolerance_raises_on_a_connected_chain():
+    # a 4-path whose middle edge is 1e-13: eigenvalues 0, 5.0e-14, 1, 1,
+    # against a null tolerance of 1e-12 dim lam_max = 4.0e-12.  The chain is
+    # irreducible, so it is not reported as two components, and the gap is
+    # not the next eigenvalue, 1.0
+    g, w = path_graph(4, [1.0, 1e-13, 1.0]), uniform_weights(4)
+    Q = generator_single_particle(g, w)
+    for solve in (lambda: spectral_gap(Q, w.pi), lambda: single_particle_spectrum(g, w)):
+        with pytest.raises(ValueError) as err:
+            solve()
+        message = str(err.value)
+        assert message.startswith("no positive eigenvalue above the null tolerance 4.000e-12")
+        assert message.endswith("e-14")
 
 
 @pytest.mark.parametrize("graph", [cycle_graph(8), torus_graph((6, 6))],
