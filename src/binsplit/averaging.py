@@ -25,10 +25,12 @@ __all__ = [
 
 
 def as_simplex(vec, tol: float = 1e-12) -> np.ndarray:
-    """Validate a nonnegative vector summing to 1 within tol."""
+    """Validate a finite, nonnegative vector summing to 1 within tol."""
     eta = np.asarray(vec, dtype=float)
     if eta.ndim != 1:
         raise ValueError("state must be a 1-d vector")
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("state has a non-finite coordinate")
     if np.any(eta < -tol):
         raise ValueError("state has a negative coordinate")
     if abs(math.fsum(eta.tolist()) - 1.0) > tol:

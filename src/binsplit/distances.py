@@ -76,7 +76,8 @@ def evolved_density(graph: WeightedGraph, weights: SiteWeights, eta, t,
     each, all summed from one sequence of powers of the uniformized chain."""
     semigroup = _Uniformization(generator_single_particle(graph, weights))
     u = np.asarray(eta, float) / weights.pi
-    rows = semigroup.evolve(u, np.atleast_1d(t), tol, measure=False)
+    evolved = semigroup.evolve(u, np.atleast_1d(t), tol, measure=False)
+    rows = np.array([h.copy() for _, h in evolved]).reshape(-1, u.size)
     return rows[0] if np.ndim(t) == 0 else rows
 
 
@@ -200,7 +201,7 @@ def tv_profile_exact(graph: WeightedGraph, weights: SiteWeights, k: int, xi0,
     times = [float(t) for t in times]
     out = []
     # each law is reduced to its TV values before the next one is evolved
-    for t, law_t in semigroup.evolve_each(law, times, tol / max(1, len(times)), measure=True):
+    for t, law_t in semigroup.evolve(law, times, tol / max(1, len(times)), measure=True):
         # contiguous copies: a strided column sums in a different order
         cols = np.ascontiguousarray(law_t.T)
         mass = np.array([col.sum() for col in cols])
@@ -427,23 +428,21 @@ def l2_sq_exact(graph: WeightedGraph, weights: SiteWeights, eta, t: float,
                 tol: float = 1e-10) -> float:
     """Exact expected ||eta_t/pi - 1||_2^2 through the two-particle kernel:
     eta^T M_t eta - 1 with M_t the evolved diagonal-over-pi observable."""
-    M = _pair_diagonal_kernels(graph, weights, [t], tol)[0]
+    M = next(_pair_diagonal_kernels(graph, weights, [t], tol))
     eta = np.asarray(eta, float)
     return float(eta @ M @ eta - 1.0)
 
 
 def _pair_diagonal_kernels(graph: WeightedGraph, weights: SiteWeights, times,
                            tol: float):
-    """M_t for each t, in the order given: the two-particle generator is
-    built once and the times, in ascending order, are summed from one
-    sequence of powers, each with its own Poisson tail below ``tol``."""
-    n = graph.n
+    """Yields M_t for each of the ascending ``times``: the two-particle
+    generator is built once and the times are summed from one sequence of
+    powers, each with its own Poisson tail below ``tol``.  A kernel is
+    overwritten once a later group of times is evolved."""
     semigroup = _Uniformization(generator_splitting_labeled(graph, weights, 2))
     g0 = np.diag(1.0 / weights.pi).reshape(-1)
-    times = np.asarray(times, dtype=float)
-    order = np.argsort(times, kind="stable")
-    kernels = semigroup.evolve(g0, times[order], tol, measure=False)
-    return kernels[np.argsort(order)].reshape(-1, n, n)
+    for _, M in semigroup.evolve(g0, times, tol, measure=False):
+        yield M.reshape(graph.n, graph.n)
 
 
 def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t, tol: float = 1e-10):
@@ -453,8 +452,12 @@ def worst_l2_sq(graph: WeightedGraph, weights: SiteWeights, t, tol: float = 1e-1
     M_t, the worst Dirac profile.
 
     ``t`` is one time, giving a float, or a sequence of times, giving a list;
-    the two-particle kernel is built once for all of them.
+    the two-particle kernel is built once for all of them, and each kernel
+    is reduced to its largest diagonal entry before the next is evolved.
     """
-    kernels = _pair_diagonal_kernels(graph, weights, np.atleast_1d(t).tolist(), tol)
-    out = [max(float(np.max(np.diag(M))) - 1.0, 0.0) for M in kernels]
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    order = np.argsort(times, kind="stable")
+    out = [0.0] * times.size
+    for i, M in zip(order.tolist(), _pair_diagonal_kernels(graph, weights, times[order], tol)):
+        out[i] = max(float(np.max(np.diag(M))) - 1.0, 0.0)
     return out[0] if np.ndim(t) == 0 else out

@@ -65,6 +65,7 @@ _GRAPH_FIELDS = {"path": ("size",), "cycle": ("size",), "complete": ("size",),
 _GRAPH_NUMBERS = {"size": int, "level": int, "seed": int, "p_open": float}
 SVG_WIDTH, SVG_HEIGHT = 640, 400  # pixels of every chart
 _K_RULE = (lambda ks: all(k >= 1 for k in ks), "≥ 1")  # a _check_keys rule for 'k'
+_SEED_RULE = (lambda seed: 0 <= seed < 1 << 64, "in [0, 2**64)")  # and for 'seed'
 
 
 @dataclass(frozen=True)
@@ -190,6 +191,8 @@ def resolve_graph(spec: dict) -> WeightedGraph:
         spec["dims"] = _numbers("graph.dims", spec["dims"], int)
     for name in [f for f in _GRAPH_NUMBERS if f in spec]:
         spec[name] = _number(f"graph.{name}", spec[name], _GRAPH_NUMBERS[name])
+    if "seed" in spec and not _SEED_RULE[0](spec["seed"]):
+        raise ValueError(f"config key 'graph.seed' must be {_SEED_RULE[1]}, got {spec['seed']}")
     try:
         if kind == "custom":
             spec["edge_list"] = load_edge_list(spec.pop("path"))
@@ -202,15 +205,16 @@ def resolve_weights(spec: dict, n: int) -> SiteWeights:
     kind = _mapping("weights", spec).get("kind", "uniform")
     if kind == "uniform":
         return uniform_weights(n)
-    if kind == "file":
-        path = spec.get("path")
-        if not isinstance(path, str):
-            raise ValueError(f"config key 'weights.path' must be a file path, got {path!r}")
-        weights = load_site_weights(path)
-    elif kind == "values":
-        weights = site_weights(_numbers("weights.values", spec.get("values"), float))
-    else:
+    if kind not in ("file", "values"):
         raise ValueError(f"config key 'weights.kind' is unknown: {kind!r}")
+    path = spec.get("path")
+    if kind == "file" and not isinstance(path, str):
+        raise ValueError(f"config key 'weights.path' must be a file path, got {path!r}")
+    values = _numbers("weights.values", spec.get("values"), float) if kind == "values" else None
+    try:
+        weights = load_site_weights(path) if kind == "file" else site_weights(values)
+    except ValueError as err:
+        raise ValueError(f"config key 'weights': {err}") from err
     if weights.n != n:
         raise ValueError(f"config key 'weights' has {weights.n} values for a graph "
                          f"of {n} vertices")
@@ -462,7 +466,7 @@ def run_cutoff_bin(config: ExperimentConfig):
     """
     from . import distances, spectral
     _check_keys(config, window_C=(lambda cs: all(C >= 0 for C in cs), "nonnegative"),
-                k=_K_RULE)
+                k=_K_RULE, tol=(lambda tol: 0.0 < tol <= 1e-6, "in (0, 1e-6]"), seed=_SEED_RULE)
     graph = resolve_graph(config.graph)
     weights = resolve_weights(config.weights, graph.n)
     spec1 = distances.single_particle_spectrum(graph, weights)
@@ -527,7 +531,10 @@ def _resolve_eta0(config: ExperimentConfig, graph: WeightedGraph) -> np.ndarray:
     if eta.shape != (n,):
         raise ValueError(f"config key 'eta0' has shape {eta.shape} for a graph "
                          f"of {n} vertices")
-    return averaging.as_simplex(eta)
+    try:
+        return averaging.as_simplex(eta)
+    except ValueError as err:
+        raise ValueError(f"config key 'eta0': {err}") from err
 
 
 def run_avg_profile(config: ExperimentConfig):
@@ -535,7 +542,7 @@ def run_avg_profile(config: ExperimentConfig):
     with the exact evolved-density lower curve alongside."""
     from . import distances
     _check_keys(config, k=_K_RULE, replicas=(lambda r: r >= 100, "≥ 100"),
-                p_norm=(lambda p: p >= 1, "≥ 1"))
+                p_norm=(lambda p: p >= 1, "≥ 1"), seed=_SEED_RULE)
     graph = resolve_graph(config.graph)
     weights = resolve_weights(config.weights, graph.n)
     spec1 = distances.single_particle_spectrum(graph, weights)
@@ -571,7 +578,7 @@ def run_complete_cdsz(config: ExperimentConfig):
     verified automorphisms (``graphs.vertex_orbits``) move it onto every
     vertex; weights or conductances that break this raise, naming the key.
     """
-    _check_keys(config, replicas=(lambda r: r >= 2, "≥ 2"))
+    _check_keys(config, replicas=(lambda r: r >= 2, "≥ 2"), seed=_SEED_RULE)
     graph = resolve_graph(config.graph)
     n = graph.n
     if n < 64:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,14 +62,17 @@ MARK_BYTES = 64            # working bytes per held event (mark, edge, indices)
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox stream keyed by (seed, stream·2^56); bit-stable across runs.
+    A seed outside [0, 2^64) raises instead of aliasing a seed inside it.
 
     ``stream`` separates independent draw purposes (3 for the harness's
     random starts, 4 for the verification battery), so consumers never share
     or reuse a stream.  Streams 0 to 2 are read by slice: events, event
     counts, and the starts of ``distances.wilson_report``.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (stream << 56) & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([seed, (stream << 56) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -16,13 +16,12 @@ t_i sums its own terms j = 0..m_i, where m_i certifies a right tail below the
 tolerance per time: ``tol`` for a single time or a pair-kernel profile,
 ``tol / len(times)`` for an exact TV profile.  Blocks of ``POWER_BLOCK``
 powers are added into the per-time accumulators by one in-place BLAS product.
-A profile (``evolve_each``) holds at most ``EVOLVE_BYTES`` of accumulators and
-powers: the times are split into consecutive groups that share one buffer,
-each restarting from the previous group's last result, and the caller reduces
-each result before the next group is evolved.  On the cycle-5 profile at
-k = 14 with 40 times, the powers cost 108 sparse products, where chaining one
-uniformized step per time cost 555.  At k = 32 the 40 laws of 5 starts take
-94 MB and run in three groups, 166 sparse products against 114 in one group.
+Every evolution (``_Uniformization.evolve``) holds at most ``EVOLVE_BYTES`` of
+accumulators and powers: the times are split into consecutive groups that
+share one buffer, each restarting from the previous group's last result, and
+the caller reduces or copies each result before the next group is evolved.
+On the cycle-5 profile at k = 14 with 40 times, the powers cost 108 sparse
+products, where chaining one uniformized step per time cost 555.
 
 The caps and solver settings are module constants, read at each call.
 """
@@ -386,7 +385,8 @@ def spectral_gap(Q, mu: np.ndarray) -> Spectrum:
     with no factorization to fill in, and by shift-invert at sigma = -1e-6
     only if Lanczos does not converge (long 1-D chains).  The sparse routes
     solve the operator over max|Q|, so ARPACK's absolute floor sits at unit
-    scale.  Raises on a detailed-balance residual above ``REVERSIBILITY_TOL``
+    scale.  Raises on a mu entry that is not finite and positive, naming the
+    first such state, on a detailed-balance residual above ``REVERSIBILITY_TOL``
     max|Q|, on a reducible chain, naming its components (the one labeling of
     ``graphs`` on Q's off-diagonal pattern, on every route, before the solve),
     and on a gap within the null tolerance, relative to the largest computed
@@ -395,6 +395,10 @@ def spectral_gap(Q, mu: np.ndarray) -> Spectrum:
     """
     mu = np.asarray(mu, dtype=float)
     dim = mu.size
+    bad = np.flatnonzero(~(np.isfinite(mu) & (mu > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"mu must be finite and positive, got mu[{i}] = {float(mu[i])!r}")
     res = reversibility_residual(Q, mu)
     scale = float(abs(sp.csr_matrix(Q)).max())
     if res > REVERSIBILITY_TOL * scale:
@@ -462,11 +466,6 @@ def _check_times(times, tol: float) -> np.ndarray:
     return times
 
 
-def _vector_slots(v: np.ndarray) -> int:
-    """How many arrays of ``v``'s size fit in ``EVOLVE_BYTES``, at least 2."""
-    return max(2, EVOLVE_BYTES // max(1, 8 * v.size))
-
-
 class _Uniformization:
     """exp(tQ) as the Poisson(L t) mixture of powers of P = I + Q/L.
 
@@ -482,44 +481,7 @@ class _Uniformization:
         self._P = self._PT = None
         self.matvecs = 0
 
-    def evolve(self, v: np.ndarray, times, tol: float, measure: bool,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """exp(t Q) applied to ``v`` at each of the ascending ``times``,
-        stacked along a new first axis (into ``out`` when given).
-
-        Every time sums its own Poisson terms, with a right tail below
-        ``tol``, from one sequence of powers P^j v, taken in blocks that fit
-        in ``EVOLVE_BYTES`` beside the results.
-        """
-        times = _check_times(times, tol)
-        v = np.asarray(v, dtype=float)
-        if out is None:
-            out = np.empty((times.size,) + v.shape)
-        if not times.size:
-            return out
-        # out[i] = sum_j pmf(j; L t_i) P^j v over j = 0..m_i, accumulated one
-        # block of powers at a time by a BLAS product written in place
-        terms = [_poisson_terms(self.rate * t, tol) for t in times]
-        W = np.zeros((len(terms), max(w.size for w in terms)))
-        for i, w in enumerate(terms):
-            W[i, :w.size] = w
-        block = min(POWER_BLOCK, max(1, _vector_slots(v) - times.size), W.shape[1])
-        powers = np.empty((block,) + v.shape)
-        flat = out.reshape(times.size, v.size).T
-        flat[...] = 0.0
-        x = v
-        for lo in range(0, W.shape[1], block):
-            hi = min(lo + block, W.shape[1])
-            for j in range(lo, hi):
-                if j > 0:
-                    x = self._step(measure) @ x
-                powers[j - lo] = x
-            dgemm(1.0, powers[:hi - lo].reshape(hi - lo, v.size).T, W[:, lo:hi].T,
-                  beta=1.0, c=flat, overwrite_c=True)
-        self.matvecs += W.shape[1] - 1
-        return out
-
-    def evolve_each(self, v: np.ndarray, times, tol: float, measure: bool):
+    def evolve(self, v: np.ndarray, times, tol: float, measure: bool):
         """Yields (t, exp(t Q) applied to ``v``) for each of the ascending
         ``times``, holding at most ``EVOLVE_BYTES`` of results and powers.
 
@@ -532,17 +494,36 @@ class _Uniformization:
         """
         times = _check_times(times, tol)
         v = np.asarray(v, dtype=float)
-        slots = _vector_slots(v)
+        slots = max(2, EVOLVE_BYTES // max(1, 8 * v.size))
         width = max(1, min(slots - min(POWER_BLOCK, slots // 2), times.size))
         legs = -(-times.size // width)
         buffer = np.empty((width,) + v.shape)
         t0, x = 0.0, v
-        for lo in range(0, times.size, width):
-            group = times[lo:lo + width]
-            laws = self.evolve(x, group - t0, tol / legs, measure, out=buffer[:group.size])
-            if lo + width < times.size:
-                t0, x = group[-1], laws[-1].copy()
-            yield from zip(group, laws)
+        for first in range(0, times.size, width):
+            group = times[first:first + width]
+            out = buffer[:group.size]
+            # out[i] = sum_j pmf(j; L (t_i - t0)) P^j x over j = 0..m_i, accumulated
+            # one block of powers at a time by a BLAS product written in place
+            terms = [_poisson_terms(self.rate * (t - t0), tol / legs) for t in group]
+            W = np.zeros((len(terms), max(w.size for w in terms)))
+            for i, w in enumerate(terms):
+                W[i, :w.size] = w
+            block = min(POWER_BLOCK, max(1, slots - group.size), W.shape[1])
+            powers = np.empty((block,) + v.shape)
+            flat = out.reshape(group.size, v.size).T
+            flat[...] = 0.0
+            for lo in range(0, W.shape[1], block):
+                hi = min(lo + block, W.shape[1])
+                for j in range(lo, hi):
+                    if j > 0:
+                        x = self._step(measure) @ x
+                    powers[j - lo] = x
+                dgemm(1.0, powers[:hi - lo].reshape(hi - lo, v.size).T, W[:, lo:hi].T,
+                      beta=1.0, c=flat, overwrite_c=True)
+            self.matvecs += W.shape[1] - 1
+            if first + width < times.size:
+                t0, x = group[-1], out[-1].copy()
+            yield from zip(group, out)
 
     def _step(self, measure: bool) -> sp.csr_matrix:
         if self._P is None:
@@ -563,13 +544,13 @@ def transient_distribution(Q, init: np.ndarray, t: float, tol: float = 1e-9) -> 
     if init.shape[0] > DEFAULT_TRANSIENT_CAP:
         raise StateSpaceCapError(f"transient vector has {init.shape[0]} entries, "
                                  f"cap is {DEFAULT_TRANSIENT_CAP}")
-    return _Uniformization(Q).evolve(init, [t], tol, measure=True)[0]
+    return next(_Uniformization(Q).evolve(init, [t], tol, measure=True))[1]
 
 
 def evolve_observable(Q, f: np.ndarray, t: float, tol: float = 1e-9) -> np.ndarray:
     """Action of the semigroup on an observable: exp(tQ) f by uniformization.
     ``f`` may be a block with one observable per column."""
-    return _Uniformization(Q).evolve(f, [t], tol, measure=False)[0]
+    return next(_Uniformization(Q).evolve(f, [t], tol, measure=False))[1]
 
 
 def dirichlet_form(Q, mu: np.ndarray, psi: np.ndarray) -> float:

@@ -101,3 +101,5 @@ def test_as_simplex_validation():
         as_simplex(np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         as_simplex(np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="non-finite"):
+        as_simplex(np.array([np.nan, 1.0]))

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binsplit import spectral
-from binsplit.distances import single_particle_spectrum, tv_profile_exact, worst_l2_sq
+from binsplit.distances import (evolved_density, single_particle_spectrum, tv_profile_exact,
+                                worst_l2_sq)
 from binsplit.duality import _edge_kernel_apply
 from binsplit.graphs import (complete_graph, cycle_graph, path_graph, site_weights,
                              torus_graph, uniform_weights)
@@ -336,7 +337,7 @@ def test_tv_profile_exact_reports_mass_defect(monkeypatch):
     for leak, raises in ((0.5e-9, False), (3e-9, True)):
         monkeypatch.setattr(_Uniformization, "evolve",
                             lambda self, *args, leak=leak, **kwargs:
-                            evolve(self, *args, **kwargs) * (1.0 - leak))
+                            ((t, law * (1.0 - leak)) for t, law in evolve(self, *args, **kwargs)))
         if raises:
             with pytest.raises(ValueError, match="mass defect"):
                 tv_profile_exact(graph, weights, 2, (2, 0, 0), [0.5], 1e-9, space)
@@ -392,25 +393,26 @@ def test_multi_time_evolve_equals_one_time_calls(measure):
     Q, block = cycle_block()
     times = [0.0, 0.05, 0.4, 0.4, 1.3, 4.0]
     tol = 1e-10
-    stacked = _Uniformization(Q).evolve(block, times, tol, measure)
+    stacked = np.stack([law.copy() for _, law in _Uniformization(Q).evolve(block, times, tol,
+                                                                            measure)])
     assert stacked.shape == (len(times),) + block.shape
     for t, got in zip(times, stacked):
-        alone = _Uniformization(Q).evolve(block, [t], tol, measure)[0]
+        alone = next(_Uniformization(Q).evolve(block, [t], tol, measure))[1]
         assert np.max(np.abs(got - alone)) <= tol
     assert np.array_equal(stacked[0], block)
 
 
 @pytest.mark.parametrize("measure", [True, False])
-def test_evolve_each_groups_match_one_sequence(monkeypatch, measure):
+def test_evolve_groups_match_one_sequence(monkeypatch, measure):
     Q, block = cycle_block()
     times = np.array([0.1, 0.4, 0.9, 1.3, 2.5, 4.0])
     tol = 1e-10
     one = _Uniformization(Q)
-    whole = one.evolve(block, times, tol, measure)
+    whole = [law.copy() for _, law in one.evolve(block, times, tol, measure)]
     # room for three vectors: one power per block and two times per group
     monkeypatch.setattr(spectral, "EVOLVE_BYTES", 3 * 8 * block.size)
     split = _Uniformization(Q)
-    for i, (t, got) in enumerate(split.evolve_each(block, times, tol, measure)):
+    for i, (t, got) in enumerate(split.evolve(block, times, tol, measure)):
         assert t == times[i]
         assert np.max(np.abs(got - whole[i])) <= tol
     # three legs, each from the end of the one before at tol / 3; at tol
@@ -419,6 +421,34 @@ def test_evolve_each_groups_match_one_sequence(monkeypatch, measure):
     assert split.matvecs == sum(_poisson_terms(split.rate * (b - a), tol / 3).size - 1
                                 for a, b in legs)
     assert one.matvecs == _poisson_terms(one.rate * times[-1], tol).size - 1
+
+
+@pytest.mark.parametrize("caller", ["worst_l2_sq", "evolved_density", "transient_distribution"])
+def test_streaming_callers_match_one_group(monkeypatch, caller):
+    # with room for three vectors, every caller's times run in groups of at
+    # most two, each leg at tol / legs, and its values stay within 2 tol
+    graph = cycle_graph(4)
+    weights = site_weights([0.1, 0.2, 0.3, 0.4])
+    Q, block = cycle_block()
+    times = [0.1, 0.4, 0.9, 1.3, 2.5, 4.0]
+    tol = 1e-10
+    run, size = {
+        "worst_l2_sq": (lambda: worst_l2_sq(graph, weights, times[::-1], tol), 16),
+        "evolved_density": (lambda: evolved_density(graph, weights, [0, 0, 1.0, 0], times, tol),
+                            4),
+        "transient_distribution": (lambda: transient_distribution(Q, block, 1.3, tol),
+                                   block.size),
+    }[caller]
+    whole = np.array(run())
+    monkeypatch.setattr(spectral, "EVOLVE_BYTES", 3 * 8 * size)
+    legs = []
+    terms = spectral._poisson_terms
+    monkeypatch.setattr(spectral, "_poisson_terms",
+                        lambda rate_t, leg_tol: (legs.append(leg_tol), terms(rate_t, leg_tol))[1])
+    grouped = np.array(run())
+    assert grouped.shape == whole.shape
+    assert np.max(np.abs(grouped - whole)) <= 2 * tol
+    assert min(legs) == (tol if caller == "transient_distribution" else tol / 3)
 
 
 def test_cutoff_profile_takes_one_power_sequence(monkeypatch):

@@ -620,6 +620,50 @@ def test_eta0_out_of_range_or_wrong_length_names_its_key(eta0, message):
         run_avg_profile(cfg)
 
 
+@pytest.mark.parametrize("eta0, weights, message", [
+    ([math.nan] + [0.0] * 7, None, "'eta0': state has a non-finite coordinate"),
+    ([1.5] + [0.0] * 7, None, "'eta0': state mass is 1.5, expected 1"),
+    (None, "abc\n", "'weights': could not convert string to float: 'abc'"),
+    (None, [1, 0, 1], "'weights': site-weights must be a positive 1-d vector"),
+], ids=["eta0-nan", "eta0-mass", "weights-file", "weights-values"])
+def test_bad_eta0_or_weights_value_names_its_key(tmp_path, eta0, weights, message):
+    # a NaN start ran and wrote NaN rows; the others raised naming no key
+    if isinstance(weights, str):
+        (tmp_path / "w.txt").write_text(weights)
+        weights = {"kind": "file", "path": str(tmp_path / "w.txt")}
+    elif weights is not None:
+        weights = {"kind": "values", "values": weights}
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 8}, eta0=eta0, replicas=100,
+                           weights=weights or {"kind": "uniform"})
+    with pytest.raises(ValueError, match=f"config key {message}"):
+        run_avg_profile(cfg)
+
+
+@pytest.mark.parametrize("tol", [1e-5, 0.0, -1e-9])
+def test_cutoff_tol_names_its_key(tol, monkeypatch):
+    # checked as given, not per record time, and before any work in either mode
+    monkeypatch.setattr(harness, "resolve_graph", None)
+    cfg = ExperimentConfig(graph={"kind": "cycle", "size": 5}, k=[3], tol=tol,
+                           times={"mode": "trel", "start": 0.05, "stop": 8.0, "num": 40})
+    with pytest.raises(ValueError, match=rf"config key 'tol' must be in \(0, 1e-6\], got {tol}"):
+        run_cutoff_bin(cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_names_its_key(tmp_path, seed, monkeypatch):
+    message = rf"must be in \[0, 2\*\*64\), got {seed}"
+    percolation = {"kind": "percolation_box", "dims": [4, 4], "p_open": 0.9, "seed": seed}
+    with pytest.raises(ValueError, match=f"config key 'graph.seed' {message}"):
+        run_avg_profile(ExperimentConfig(graph=percolation, replicas=100))
+    monkeypatch.setattr(harness, "resolve_graph", None)
+    for run in (run_cutoff_bin, run_avg_profile, run_complete_cdsz):
+        with pytest.raises(ValueError, match=f"config key 'seed' {message}"):
+            run(ExperimentConfig(seed=seed, replicas=100))
+    # --seed is set after the config is loaded
+    with pytest.raises(ValueError, match=f"config key 'seed' {message}"):
+        cli_main(["cdsz", "--seed", str(seed), "--out", str(tmp_path)])
+
+
 @pytest.mark.parametrize("graph, eta0, message", [
     ({"kind": "cycle"}, None, "'graph' of kind 'cycle' needs field 'size'"),
     ({"kind": "torus", "dims": 5}, None, "'graph.dims' must be a list, got 5"),

@@ -220,6 +220,15 @@ def test_event_schedule_statistics():
                            SimOptions(record_times=(1.0,)))
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # masked to 64 bits, -1 aliased 2^64 - 1 and 2^64 aliased 0
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        make_rng(seed)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        simulate._Slices(seed, 0, 1, 4)
+
+
 def test_slice_reads_equal_rows_read_alone():
     # one read of replicas r0..r1 equals each replica's slice read alone, by
     # the engine and by a fresh Philox at its counter, at counter word 0 = 0

@@ -439,6 +439,20 @@ def test_spectral_gap_rejects_a_reducible_chain(route, tiny_rates):
         spectral_gap(Q, mu)
 
 
+@pytest.mark.parametrize("mu0, shown", [(0.0, "0.0"), (math.nan, "nan")])
+def test_spectral_gap_rejects_a_mu_that_is_not_positive(mu0, shown):
+    # state 0 is transient: with mu_0 = 0 the detailed-balance defect is 0,
+    # and the upper triangle of the pattern, which is not symmetric, is one
+    # component; the solve then failed inside eigh on infs or NaNs
+    Q = scipy.sparse.csr_matrix(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0],
+                                          [0.0, 1.0, -1.0]]))
+    mu = np.array([0.0, 0.5, 0.5])
+    assert reversibility_residual(Q, mu) == 0.0
+    mu[0] = mu0
+    with pytest.raises(ValueError, match=rf"mu must be finite and positive, got mu\[0\] = {shown}"):
+        spectral_gap(Q, mu)
+
+
 def test_a_gap_below_the_null_tolerance_raises_on_a_connected_chain():
     # a 4-path whose middle edge is 1e-13: eigenvalues 0, 5.0e-14, 1, 1,
     # against a null tolerance of 1e-12 dim lam_max = 4.0e-12.  The chain is
