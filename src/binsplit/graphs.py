@@ -31,6 +31,7 @@ percolation clusters, symmetry orbits and ``spectral_gap``'s reducibility.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,7 +274,8 @@ def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> We
 
     Each nearest-neighbor bond of the box is kept independently with
     probability ``p_open``, using a counter-based stream keyed by ``seed``
-    (bit-identical across runs).  The largest connected cluster is retained;
+    (bit-identical across runs; an integer in [0, 2^64), as for
+    ``simulate.make_rng``).  The largest connected cluster is retained;
     a cluster below 2 vertices, or below half the box volume, raises
     :class:`PercolationRetry` (supercritical fingerprint regime only).
     """
@@ -282,6 +284,9 @@ def percolation_box_graph(dims, p_open: float, seed: int, conductance=1.0) -> We
         raise ValueError("box dims must be >= 1")
     if not (0.0 < p_open <= 1.0):
         raise ValueError("p_open must lie in (0, 1]")
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     n = int(np.prod(dims))
     bonds = _lattice_bonds(dims, wrap=False)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))

@@ -20,8 +20,8 @@ from binsplit import spectral
 from binsplit.distances import (evolved_density, single_particle_spectrum, tv_profile_exact,
                                 worst_l2_sq)
 from binsplit.duality import _edge_kernel_apply
-from binsplit.graphs import (complete_graph, cycle_graph, path_graph, site_weights,
-                             torus_graph, uniform_weights)
+from binsplit.graphs import (complete_graph, custom_graph, cycle_graph, path_graph,
+                             site_weights, torus_graph, uniform_weights)
 from binsplit.spectral import (_Uniformization, _poisson_terms, enumerate_configs,
                                evolve_observable, generator_single_particle,
                                generator_splitting, generator_splitting_labeled,
@@ -152,7 +152,7 @@ def generator_single_particle_loop(graph, weights):
 
 def assert_same_csr(Q, Q_ref):
     for a, b in ((Q.data, Q_ref.data), (Q.indices, Q_ref.indices), (Q.indptr, Q_ref.indptr)):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
 def enumerate_configs_reference(n, k):
@@ -184,15 +184,70 @@ def test_rank_rejects_non_configurations():
     (cycle_graph(5), 6),
     (torus_graph([3, 3]), 3),
     (torus_graph([2, 3]), 4),
+    # the wrap-around edge (0, 6) changes the rank terms of six sites
+    (cycle_graph(7), 3),
+    # every pair an edge: spans of one to four sites
+    (complete_graph(5), 4),
+    # per-edge conductances on a cycle with a chord
+    (custom_graph([(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.5), (3, 0, 3.0), (1, 3, 0.25)]), 5),
 ])
 def test_vectorized_assembly_matches_loop(graph, k):
     rng = np.random.default_rng(graph.n * 100 + k)
-    weights = site_weights(rng.uniform(0.3, 2.0, graph.n))
     space = enumerate_configs(graph.n, k)
-    Q = generator_splitting(graph, weights, k, space)
-    Q_ref = generator_splitting_loop(graph, weights, k, space)
-    assert (Q - Q_ref).nnz == 0
-    assert_same_csr(Q, Q_ref)
+    # moderate site-weights, then weights spanning 1e-6 to 1, whose split
+    # probabilities lie within 1e-6 of 0 and 1
+    for values in (rng.uniform(0.3, 2.0, graph.n), np.geomspace(1e-6, 1.0, graph.n)[::-1]):
+        weights = site_weights(values)
+        Q = generator_splitting(graph, weights, k, space)
+        Q_ref = generator_splitting_loop(graph, weights, k, space)
+        assert Q.has_canonical_format and Q.indices.dtype == np.int32
+        assert (Q - Q_ref).nnz == 0
+        assert_same_csr(Q, Q_ref)
+
+
+def split_moves_loop(space, x, y, p):
+    """Per-state reference jump list: sources ascending, then the count j
+    left on x ascending, with targets looked up by rank."""
+    src, dst, prob, stay = [], [], [], []
+    for i, xi in enumerate(space.configs):
+        m, cur = int(xi[x] + xi[y]), int(xi[x])
+        pmf = _binom_pmf_table(m, p)
+        stay.append(pmf[cur])
+        for j in range(m + 1):
+            if j != cur:
+                target = xi.copy()
+                target[x], target[y] = j, m - j
+                src.append(i)
+                dst.append(space.rank([target])[0])
+                prob.append(pmf[j])
+    return np.array(src), np.array(dst), np.array(prob), np.array(stay)
+
+
+@pytest.mark.parametrize("x, y", [(0, 1), (1, 0), (0, 4), (4, 0), (3, 1), (1, 3)])
+def test_split_moves_lists_each_jump_in_order(x, y):
+    # either orientation: x > y moves particles toward lower sites, so the
+    # left counts between the endpoints shrink
+    space = enumerate_configs(5, 5)
+    for p in (0.3, 1e-6 / (1.0 + 1e-6)):
+        got = split_moves(space, x, y, p)
+        for a, b in zip(got, split_moves_loop(space, x, y, p)):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+def test_assembly_peaks_within_twice_its_csr():
+    # written straight into its CSR arrays, one edge at a time: on the 5-cycle
+    # at k = 32 (58,905 states, 3.8M nonzeros) the temporaries of the
+    # largest edge stay below the 44 MiB of CSR returned
+    graph = cycle_graph(5)
+    space = enumerate_configs(5, 32)
+    tracemalloc.start()
+    try:
+        Q = generator_splitting(graph, uniform_weights(5), 32, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.has_canonical_format and Q.indices.dtype == np.int32
+    assert peak <= 2 * (Q.data.nbytes + Q.indices.nbytes + Q.indptr.nbytes)
 
 
 LABELED_CASES = ([(path_graph(4), k) for k in range(5)]

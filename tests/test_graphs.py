@@ -169,6 +169,18 @@ def test_percolation_deterministic_and_supercritical():
         percolation_box_graph([8, 8], 0.05, seed=1)
 
 
+@pytest.mark.parametrize("seed, error, match", [
+    (-1, ValueError, r"seed must lie in \[0, 2\*\*64\), got -1"),
+    (2 ** 64, ValueError, r"seed must lie in \[0, 2\*\*64\), got 18446744073709551616"),
+    (1.5, TypeError, "integer"),
+], ids=["-1", "2**64", "1.5"])
+def test_percolation_rejects_a_seed_outside_64_bits(seed, error, match):
+    # the Philox key is two 64-bit words: a seed must be an integer that fits
+    # one, not wrapped, truncated or left to numpy's own overflow error
+    with pytest.raises(error, match=match):
+        percolation_box_graph([6, 6], 0.9, seed)
+
+
 def test_per_edge_conductance_list():
     g = path_graph(3, conductance=[1.5, 2.5])
     assert [c for (_, _, c) in g.edges] == [1.5, 2.5]
